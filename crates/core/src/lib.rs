@@ -50,8 +50,7 @@
 //! re-openable source in bounded chunks), can be sharded into intervals
 //! reconciled exactly (snapshot handoff — bit-identical to the unsharded
 //! sweep) or approximately (warmup overlap, with [`ShardBounds`] slack),
-//! or sampled from periodic clusters with the same per-cluster bound. The
-//! free `sweep_trace*` functions remain as deprecated forwarders.
+//! or sampled from periodic clusters with the same per-cluster bound.
 //!
 //! Long runs also need not be fragile: [`SweepRequest::resilient`] wraps
 //! the same kernels with checkpoint/resume (a [`SweepCheckpoint`] persists
@@ -135,11 +134,6 @@ pub use results::{
 };
 pub use simd::KernelBackend;
 pub use space::{ConfigSpace, DewError, PassConfig};
-#[allow(deprecated)]
-pub use sweep::{
-    sweep_trace, sweep_trace_instrumented, sweep_trace_resilient, sweep_trace_sampled,
-    sweep_trace_sharded, sweep_trace_sharded_resilient, sweep_trace_streamed,
-    sweep_trace_streamed_resilient, ShardMode, ShardSpec,
-};
+pub use sweep::{ShardMode, ShardSpec};
 pub use timeline::{MissTimeline, WindowSample};
 pub use tree::DewTree;

@@ -54,7 +54,7 @@
 //! Both kernels produce bit-identical miss counts — a property-tested
 //! invariant, exactly like the FIFO kernels'.
 //!
-//! [`crate::sweep_trace`] drives this type for LRU spaces: all passes of one
+//! [`crate::SweepRequest`] drives this type for LRU spaces: all passes of one
 //! block size fuse into a single streamed traversal, fanned back out through
 //! [`LruTreeSimulator::pass_results`] / [`LruTreeSimulator::pass_counters`].
 //!
@@ -313,7 +313,7 @@ impl LruTreeSimulator {
     /// and the reported associativities (so a sweep whose space starts above
     /// associativity 1 does not report lists it was not asked for — the
     /// recency lane is always sized to the widest), and a runtime kernel
-    /// selection. This is the entry point [`crate::sweep_trace`] uses for
+    /// selection. This is the entry point [`crate::SweepRequest`] uses for
     /// its fused per-block-size LRU passes.
     ///
     /// # Errors
@@ -730,7 +730,7 @@ impl LruTreeSimulator {
 
     /// Fans this pass out into the [`PassResults`] a standalone
     /// `(block size, assoc)` pass would have produced, or `None` when
-    /// `assoc` was not simulated. This is how [`crate::sweep_trace`] keeps
+    /// `assoc` was not simulated. This is how [`crate::SweepRequest`] keeps
     /// its per-pass result shape while traversing the trace once per block
     /// size under LRU, exactly as the FIFO scheduler does through
     /// [`crate::MultiAssocTree::pass_results`].

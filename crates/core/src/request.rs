@@ -2,7 +2,7 @@
 //! (a [`ConfigSpace`]), *how* ([`DewOptions`] — policy included — thread
 //! count, instrumentation) and *under which execution plan* (sharding,
 //! sampling, resilience), then [`SweepRequest::run`] or
-//! [`SweepRequest::run_streamed`] dispatches to the fused drivers.
+//! [`SweepRequest::run_streamed`] dispatches it to the sweep driver.
 //!
 //! Every axis is orthogonal where soundness allows; the unsound
 //! combinations are rejected up front with
@@ -23,15 +23,14 @@
 //! and instrumentation: a streamed trace has no slice to shard or sample,
 //! and no instrumented streaming driver exists.
 
-use dew_trace::{Record, TraceSource};
+use dew_trace::{Record, SliceSource, TraceSource};
 
 use crate::options::{DewOptions, TreePolicy};
 use crate::resilience::Resilience;
 use crate::results::SweepOutcome;
 use crate::space::{ConfigSpace, DewError};
 use crate::sweep::{
-    handoff_boundaries, run_resilient, sampled_impl, sharded_impl, streamed_impl, sweep_trace_with,
-    ShardMode, ShardSpec,
+    handoff_boundaries, run_resilient, sampled, warmup_overlap, ShardMode, ShardSpec,
 };
 
 /// A fully described sweep: configuration space × policy options × threads
@@ -124,16 +123,60 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Sweeps a periodic cluster sample: the leading `sample_len` records
-    /// of every `period`-record window. Excludes every other plan axis.
+    /// of every `period`-record window (see `dew_trace::sample::periodic`),
+    /// spliced into one continuous stream per fused kernel. Excludes every
+    /// other plan axis.
+    ///
+    /// The outcome describes the *sampled* stream: `accesses()` is the
+    /// retained record count and miss counts are raw counts over it;
+    /// extrapolate by `period / sample_len` for full-trace estimates (that
+    /// extrapolation error is statistical and not bounded here). What *is*
+    /// bounded is the splice error inside the measured stream: each cluster
+    /// is a contiguous original-trace window, so the
+    /// [`ShardMode::WarmupOverlap`] argument applies per cluster, and
+    /// [`SweepOutcome::bounds`] carries
+    /// `Σ_{clusters after the first} min(first_touches, sets × assoc)` per
+    /// configuration (guaranteed for LRU, heuristic for FIFO).
+    /// `sample_len == period` keeps everything and runs the exact sweep.
     #[must_use]
     pub fn sampled(mut self, period: usize, sample_len: usize) -> Self {
         self.sample = Some((period, sample_len));
         self
     }
 
-    /// Runs under the fault-tolerance contract of `res`: retry with
-    /// bounded backoff, panic isolation, checkpoint/resume, graceful
-    /// degradation.
+    /// Runs under the fault-tolerance contract of `res`: the same fused
+    /// kernels and bit-identical results on the happy path, plus periodic
+    /// [`crate::SweepCheckpoint`]s, resume, retry with bounded backoff for
+    /// transient source failures, per-job panic isolation, and graceful
+    /// degradation (a partial [`SweepOutcome`] whose
+    /// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
+    /// [`SweepOutcome::records_lost`] tell the truth about what was lost).
+    ///
+    /// Resuming from a checkpoint is **bit-identical** to the uninterrupted
+    /// sweep: a checkpoint stores each job's exact kernel snapshot at an
+    /// exact record position, restoring a snapshot is an identity
+    /// (property-tested), and the kernels are insensitive to how the
+    /// replayed stream is chunked. Checkpoints compose with
+    /// [`ShardMode::SnapshotHandoff`] sharding, and a checkpoint taken under
+    /// one shard count resumes soundly under another. Over
+    /// [`SweepRequest::run_streamed`], a crash costs at most the checkpoint
+    /// interval of replay.
+    ///
+    /// ```
+    /// use dew_core::{ConfigSpace, Resilience, SweepRequest};
+    /// use dew_trace::Record;
+    ///
+    /// # fn main() -> Result<(), dew_core::DewError> {
+    /// let space = ConfigSpace::new((0, 4), (2, 4), (0, 2))?;
+    /// let trace: Vec<Record> = (0..500u64).map(|i| Record::read((i % 97) * 4)).collect();
+    /// let plain = SweepRequest::new(&space).threads(1).run(&trace)?;
+    /// let res = Resilience::new();
+    /// let resilient = SweepRequest::new(&space).threads(1).resilient(&res).run(&trace)?;
+    /// assert!(!resilient.is_partial());
+    /// assert_eq!(resilient.sorted(), plain.sorted());
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
     pub fn resilient(mut self, res: &'a Resilience<'a>) -> Self {
         self.resilience = Some(res);
@@ -176,11 +219,13 @@ impl<'a> SweepRequest<'a> {
     /// space exceeds a policy's lane capacity (tree-PLRU caps at
     /// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways); resilient plans may
     /// also return [`DewError::Checkpoint`], [`DewError::TraceRead`] or
-    /// [`DewError::WorkerPanic`] per the [`Resilience`] contract.
+    /// [`DewError::WorkerPanic`] per the [`Resilience`] contract. A kernel
+    /// panic in any plan but warmup overlap returns
+    /// [`DewError::WorkerPanic`] instead of unwinding into the caller.
     pub fn run(&self, records: &[Record]) -> Result<SweepOutcome, DewError> {
         self.check_combos()?;
         if let Some((period, sample_len)) = self.sample {
-            return sampled_impl(
+            return sampled(
                 self.space,
                 records,
                 self.options,
@@ -189,37 +234,24 @@ impl<'a> SweepRequest<'a> {
                 sample_len,
             );
         }
-        match (self.resilience, self.shards) {
-            (Some(res), Some(spec)) => {
-                let boundaries = handoff_boundaries(records.len(), spec.shards);
-                run_resilient(
+        let boundaries = match self.shards {
+            Some(ShardSpec {
+                shards,
+                mode: ShardMode::WarmupOverlap { overlap },
+            }) => {
+                return warmup_overlap(
                     self.space,
-                    &dew_trace::SliceSource(records),
-                    &boundaries,
+                    records,
                     self.options,
                     self.threads,
-                    res,
+                    shards,
+                    overlap,
                 )
             }
-            (Some(res), None) => run_resilient(
-                self.space,
-                &dew_trace::SliceSource(records),
-                &[],
-                self.options,
-                self.threads,
-                res,
-            ),
-            (None, Some(spec)) => {
-                sharded_impl(self.space, records, self.options, self.threads, spec)
-            }
-            (None, None) => sweep_trace_with(
-                self.space,
-                records,
-                self.options,
-                self.threads,
-                self.instrumented,
-            ),
-        }
+            Some(spec) => handoff_boundaries(records.len(), spec.shards),
+            None => Vec::new(),
+        };
+        self.run_core(&SliceSource(records), &boundaries)
     }
 
     /// Executes the request over a re-openable [`TraceSource`] in bounded
@@ -241,21 +273,32 @@ impl<'a> SweepRequest<'a> {
                  (no sharding, sampling or instrumentation)",
             ));
         }
-        match self.resilience {
-            Some(res) => run_resilient(self.space, source, &[], self.options, self.threads, res),
-            None => streamed_impl(self.space, source, self.options, self.threads),
-        }
+        self.run_core(source, &[])
+    }
+
+    /// Runs the request on the sweep core, under its [`Resilience`] or the
+    /// exact preset.
+    fn run_core<S: TraceSource>(
+        &self,
+        source: &S,
+        boundaries: &[u64],
+    ) -> Result<SweepOutcome, DewError> {
+        let exact = Resilience::exact();
+        run_resilient(
+            self.space,
+            source,
+            boundaries,
+            self.options,
+            self.threads,
+            self.instrumented,
+            self.resilience.unwrap_or(&exact),
+        )
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::sweep::{
-        sweep_trace, sweep_trace_instrumented, sweep_trace_resilient, sweep_trace_sampled,
-        sweep_trace_sharded, sweep_trace_sharded_resilient, sweep_trace_streamed,
-    };
     use dew_trace::SliceSource;
 
     fn trace(n: usize) -> Vec<Record> {
@@ -284,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_every_forwarder_for_every_policy() {
+    fn builder_plans_agree_for_every_policy() {
         let space = ConfigSpace::new((0, 3), (1, 3), (0, 2)).expect("valid");
         let records = trace(900);
         for policy in TreePolicy::ALL {
@@ -292,30 +335,19 @@ mod tests {
             let base = SweepRequest::new(&space).options(options).threads(2);
 
             let plain = base.run(&records).expect("plain");
-            let fwd = sweep_trace(&space, &records, options, 2).expect("fwd");
-            assert_eq!(plain.sorted(), fwd.sorted(), "{policy}: plain");
 
             let inst = base.instrumented(true).run(&records).expect("instrumented");
-            let fwd = sweep_trace_instrumented(&space, &records, options, 2).expect("fwd");
-            assert_eq!(inst.sorted(), fwd.sorted(), "{policy}: instrumented");
+            assert_eq!(inst.sorted(), plain.sorted(), "{policy}: instrumented");
 
             let spec = ShardSpec {
                 shards: 3,
                 mode: ShardMode::SnapshotHandoff,
             };
             let sharded = base.sharded(spec).run(&records).expect("sharded");
-            let fwd = sweep_trace_sharded(&space, &records, options, 2, spec).expect("fwd");
-            assert_eq!(sharded.sorted(), fwd.sorted(), "{policy}: sharded");
             assert_eq!(sharded.sorted(), plain.sorted(), "{policy}: handoff exact");
-
-            let sampled = base.sampled(64, 16).run(&records).expect("sampled");
-            let fwd = sweep_trace_sampled(&space, &records, options, 2, 64, 16).expect("fwd");
-            assert_eq!(sampled.sorted(), fwd.sorted(), "{policy}: sampled");
 
             let res = Resilience::new();
             let resilient = base.resilient(&res).run(&records).expect("resilient");
-            let fwd = sweep_trace_resilient(&space, &records, options, 2, &res).expect("fwd");
-            assert_eq!(resilient.sorted(), fwd.sorted(), "{policy}: resilient");
             assert_eq!(
                 resilient.sorted(),
                 plain.sorted(),
@@ -327,14 +359,9 @@ mod tests {
                 .resilient(&res)
                 .run(&records)
                 .expect("both");
-            let fwd =
-                sweep_trace_sharded_resilient(&space, &records, options, 2, 3, &res).expect("fwd");
-            assert_eq!(both.sorted(), fwd.sorted(), "{policy}: sharded resilient");
+            assert_eq!(both.sorted(), plain.sorted(), "{policy}: sharded resilient");
 
             let streamed = base.run_streamed(&SliceSource(&records)).expect("streamed");
-            let fwd =
-                sweep_trace_streamed(&space, &SliceSource(&records), options, 2).expect("fwd");
-            assert_eq!(streamed.sorted(), fwd.sorted(), "{policy}: streamed");
             assert_eq!(
                 streamed.sorted(),
                 plain.sorted(),

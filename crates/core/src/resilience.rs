@@ -1,7 +1,7 @@
 //! Resilience policy for long sweeps: retry/backoff parameters, injectable
 //! sleeping (so tests never wait on a wall clock), and the combined
-//! [`Resilience`] configuration the fault-tolerant drivers in
-//! [`crate::sweep`] consume — checkpointing, resume, and the
+//! [`Resilience`] configuration the sweep core in [`crate::sweep`]
+//! consumes — checkpointing, resume, and the
 //! fail-fast/degraded-mode switch.
 
 use std::time::Duration;
@@ -143,6 +143,14 @@ impl Resilience<'static> {
             cancel: None,
             sleeper: &ThreadSleeper,
         }
+    }
+
+    /// The exact preset every plan without a [`Resilience`] runs under: no
+    /// retries, fail-fast, no checkpoint.
+    pub(crate) fn exact() -> Self {
+        Resilience::new()
+            .with_retry(RetryPolicy::none())
+            .fail_fast(true)
     }
 }
 

@@ -338,9 +338,9 @@ pub struct JobFailure {
 
 /// Aggregated results of a multi-pass sweep over a configuration space.
 ///
-/// Built by [`crate::sweep_trace`]; maps every `(sets, assoc, block)` of the
+/// Built by [`crate::SweepRequest`]; maps every `(sets, assoc, block)` of the
 /// space to its exact miss count, and retains the per-pass work counters.
-/// Resilient drivers ([`crate::sweep_trace_resilient`] and friends) may
+/// Resilient sweeps ([`crate::SweepRequest::resilient`]) may
 /// return a *partial* outcome: [`SweepOutcome::is_partial`] flags it, and
 /// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
 /// [`SweepOutcome::records_lost`] carry the honest accounting.
@@ -461,8 +461,8 @@ impl SweepOutcome {
     }
 
     /// Cold-start uncertainty of an approximate sweep
-    /// ([`crate::sweep_trace_sharded`] in warmup-overlap mode,
-    /// [`crate::sweep_trace_sampled`]); `None` for exact sweeps, including
+    /// ([`crate::ShardMode::WarmupOverlap`] sharding,
+    /// [`crate::SweepRequest::sampled`]); `None` for exact sweeps, including
     /// snapshot-handoff sharding.
     #[must_use]
     pub fn bounds(&self) -> Option<&ShardBounds> {

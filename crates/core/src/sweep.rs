@@ -1,8 +1,8 @@
-//! Sweep drivers: cover a whole [`ConfigSpace`] with the minimal number of
-//! *trace traversals* — one per block size for **every** registered policy
-//! — optionally in parallel.
+//! The sweep driver: covers a whole [`ConfigSpace`] with the minimal number
+//! of *trace traversals* — one per block size for **every** registered
+//! policy — optionally in parallel.
 //!
-//! The scheduler is **fused**: all `(block size, assoc)` passes of one
+//! Each traversal is **fused**: all `(block size, assoc)` passes of one
 //! block size are folded into a single traversal on the policy's
 //! [`FusedKernel`] — FIFO multi-assoc lists, or the LRU / tree-PLRU / SLRU
 //! arena lanes (see the `kernel` module docs for the pluggable-kernel
@@ -11,17 +11,30 @@
 //! back out into the per-pass [`PassResults`] shape, so [`SweepOutcome`]
 //! is unchanged for callers.
 //!
-//! [`crate::SweepRequest`] is the one entry point: policy, thread count,
-//! instrumentation, sharding, sampling and resilience are orthogonal
-//! builder options over the drivers in this module. The free
-//! `sweep_trace*` functions are deprecated forwarders kept so existing
-//! call sites keep compiling (with bit-identical results).
+//! [`crate::SweepRequest`] is the one entry point. It runs every plan on
+//! three pieces of this module:
+//!
+//! - **The core** (`run_resilient`): workers claim one fused job (one
+//!   block size) at a time and stream it from a [`TraceSource`], handing
+//!   kernel state across optional shard boundaries as snapshot bytes,
+//!   under the checkpoint, retry, panic-isolation and degradation contract
+//!   of [`Resilience`]. Every exact plan runs here: an in-memory sweep is
+//!   the core over a [`SliceSource`], instrumented or not, sharded by
+//!   snapshot handoff or not; a streamed sweep is the core over the
+//!   caller's source. A plan without a [`Resilience`] runs under the exact
+//!   preset: no retries, fail-fast, no checkpoint.
+//! - **The sample plan** (`sampled`): the retained clusters run through
+//!   the core as one spliced trace, then one reconciliation step attaches
+//!   the per-cluster first-touch slack.
+//! - **The warmup-overlap scheduler** (`warmup_overlap`): the one plan with
+//!   parallelism inside a block size, so it claims `(job × shard)` items
+//!   itself, and reconciles with the same first-touch slack.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use dew_trace::{BlockChunks, Record, SliceSource, StreamBlockChunks, TraceError, TraceSource};
+use dew_trace::{BlockChunks, Record, SliceSource, TraceError, TraceSource};
 
 use crate::cancel::CancelReason;
 use crate::checkpoint::{sweep_fingerprint, SweepCheckpoint};
@@ -34,7 +47,7 @@ use crate::results::{
 };
 use crate::space::{ConfigSpace, DewError, PassConfig};
 
-/// Upstream validation shared by every driver: the option flags must be
+/// Upstream validation shared by every plan: the option flags must be
 /// sound for the policy, and the space must fit the policy's kernel (the
 /// tree-PLRU direction bits cap a lane at
 /// [`crate::plru_tree::MAX_PLRU_ASSOC`] ways).
@@ -55,46 +68,6 @@ pub(crate) fn validate_request(space: &ConfigSpace, options: DewOptions) -> Resu
     Ok(())
 }
 
-/// Simulates every configuration of `space` over `records` — one fused
-/// traversal per block size, whichever policy `options` selects.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(note = "use SweepRequest::new(space).options(options).threads(threads).run(records)")]
-pub fn sweep_trace(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    sweep_trace_with(space, records, options, threads, false)
-}
-
-/// [`sweep_trace`] with instrumented passes: every pass maintains the full
-/// [`DewCounters`] breakdown, with bit-identical miss counts.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).instrumented(true).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).instrumented(true).run(records)"
-)]
-pub fn sweep_trace_instrumented(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    sweep_trace_with(space, records, options, threads, true)
-}
-
 /// One fused unit of work: every pass of one block size.
 struct FusedJob {
     block_bits: u32,
@@ -113,39 +86,8 @@ fn worker_count(threads: usize, work_items: usize) -> usize {
     .min(work_items.max(1))
 }
 
-pub(crate) fn sweep_trace_with(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    instrument: bool,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    let passes = space.passes();
-
-    // One pre-sized slot per pass: the worker that claims a job is the only
-    // writer of its passes' slots, so the result path has no lock and needs
-    // no post-hoc sort.
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-
-    let trace_traversals = run_fused(
-        space, &passes, records, options, threads, instrument, &slots,
-    );
-
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        records.len() as u64,
-        trace_traversals,
-        options.policy,
-        false,
-    ))
-}
-
 /// Fans the completed per-pass slots out into a [`SweepOutcome`] (shared by
-/// every sweep flavour: plain, sharded, sampled, streamed, resilient).
+/// the core and the warmup-overlap scheduler).
 ///
 /// With `degraded` set, unfilled slots belong to failed jobs of a resilient
 /// run and are skipped — the caller attaches the failure accounting via
@@ -198,7 +140,7 @@ fn assemble(
 }
 
 /// Groups the passes by block size through an indexed map built once per
-/// sweep (shared by both fused schedulers); the claim paths never scan.
+/// sweep; the claim paths never scan.
 fn group_by_block(passes: &[PassConfig]) -> Vec<FusedJob> {
     let mut job_of_block: HashMap<u32, usize> = HashMap::new();
     let mut jobs: Vec<FusedJob> = Vec::new();
@@ -219,54 +161,22 @@ fn group_by_block(passes: &[PassConfig]) -> Vec<FusedJob> {
     jobs
 }
 
-/// The fused scheduler, policy-generic: one decode and one [`FusedKernel`]
-/// traversal per block size, whichever policy `options` selects. Returns
-/// the traversal count (the job count).
-fn run_fused(
+/// Builds the [`FusedKernel`] for one fused job — the one place a sweep
+/// constructs a kernel.
+fn build_job_kernel(
     space: &ConfigSpace,
-    passes: &[PassConfig],
-    records: &[Record],
+    job: &FusedJob,
     options: DewOptions,
-    threads: usize,
     instrument: bool,
-    slots: &[OnceLock<(PassResults, DewCounters)>],
-) -> u64 {
-    let jobs = group_by_block(passes);
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                // One streaming decoder per worker, reset per job: block
-                // numbers are decoded exactly once per block size and fed to
-                // the fused kernel in cache-sized batches through one
-                // reusable buffer.
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = FusedKernel::build(
-                        job.block_bits,
-                        space.set_bits(),
-                        job.assoc_bits,
-                        options,
-                        instrument,
-                    )
-                    .expect("pass geometry and options validated above");
-                    chunks.reset(records, job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        kernel.run_blocks(chunk);
-                    }
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
-                }
-            });
-        }
-    });
-    jobs.len() as u64
+) -> FusedKernel {
+    FusedKernel::build(
+        job.block_bits,
+        space.set_bits(),
+        job.assoc_bits,
+        options,
+        instrument,
+    )
+    .expect("pass geometry and options validated above")
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +185,8 @@ fn run_fused(
 // ---------------------------------------------------------------------------
 
 /// How a sharded sweep reconciles the cold simulator state at each shard
-/// boundary.
+/// boundary. `shards <= 1` (or an empty trace) runs the unsharded sweep in
+/// either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
     /// Carry exact kernel state across every boundary as a serialized
@@ -283,15 +194,29 @@ pub enum ShardMode {
     /// sequentially (parallelism stays across block sizes), and the result
     /// is **bit-identical** to the unsharded sweep — this mode exists to
     /// bound memory per traversal and to exactness-test the snapshot
-    /// format, not to add parallelism within a block size.
+    /// format, not to add parallelism within a block size. Every boundary
+    /// crossing is a snapshot round trip, so each sharded sweep also
+    /// exercises the wire format; kernel state is geometry-sized,
+    /// independent of shard length.
     SnapshotHandoff,
     /// Start every shard cold, but replay up to `overlap` records of the
     /// preceding interval first to warm the kernel, then discard the
     /// warmup's counts. All `(block size, shard)` items run in parallel.
-    /// The result is an estimate: [`SweepOutcome::bounds`] reports a
-    /// per-configuration slack derived from first-touch counting
-    /// (guaranteed sound for LRU, heuristic for FIFO — see the DESIGN
-    /// notes on cold-start reconciliation).
+    ///
+    /// The result is an estimate whose error is bounded by first-touch
+    /// counting: within a contiguous replayed window every non-first-touch
+    /// access has its reuse interval inside the window and is classified
+    /// exactly, so only first-touch-in-window accesses are unknowns — and
+    /// each unknown that was truly a hit maps to a distinct block resident
+    /// at the window start, capping the overcount at `sets × assoc` per
+    /// boundary. [`SweepOutcome::bounds`] reports
+    /// `Σ_{boundaries} min(first_touches, sets × assoc)` per configuration,
+    /// flagged `guaranteed` only under LRU (FIFO lacks inclusion, so a cold
+    /// FIFO queue can also *undercount*; the figure remains the right scale
+    /// but not a proof — see the DESIGN notes on cold-start
+    /// reconciliation). [`SweepOutcome::records_simulated`] counts the
+    /// warmup replays truthfully; [`SweepOutcome::trace_traversals`] stays
+    /// the fused job count.
     WarmupOverlap {
         /// Records of warmup replay per boundary (clamped to the available
         /// prefix).
@@ -309,26 +234,23 @@ pub struct ShardSpec {
     pub mode: ShardMode,
 }
 
-/// Builds the [`FusedKernel`] for one fused job, uninstrumented — the
-/// sharded, sampled, streamed and resilient drivers all construct kernels
-/// through this one helper.
-fn build_job_kernel(space: &ConfigSpace, job: &FusedJob, options: DewOptions) -> FusedKernel {
-    FusedKernel::build(
-        job.block_bits,
-        space.set_bits(),
-        job.assoc_bits,
-        options,
-        false,
-    )
-    .expect("pass geometry and options validated above")
-}
-
 /// Splits `n` records into `shards` contiguous half-open intervals whose
 /// lengths differ by at most one.
 fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.max(1);
     (0..shards)
         .map(|s| (s * n / shards, (s + 1) * n / shards))
+        .collect()
+}
+
+/// The snapshot-handoff boundary positions for `n` records split into
+/// `shards` contiguous intervals — the record indices at which the core
+/// serialises and restores each kernel.
+pub(crate) fn handoff_boundaries(n: usize, shards: usize) -> Vec<u64> {
+    shard_ranges(n, shards)
+        .iter()
+        .skip(1)
+        .map(|&(lo, _)| lo as u64)
         .collect()
 }
 
@@ -387,197 +309,104 @@ fn results_add(a: &PassResults, b: &PassResults) -> PassResults {
     PassResults::new(*a.pass(), a.accesses() + b.accesses(), levels)
 }
 
-/// [`sweep_trace`] over `records` split into `spec.shards` contiguous
-/// intervals, each simulated on the fused arena kernels with its state
-/// reconciled at the boundaries per [`ShardMode`].
+/// First touches of a cold boundary at block size `2^block_bits`: the
+/// blocks of `measured` absent from the replayed `window` and from earlier
+/// in `measured` — the accesses whose reuse interval escapes the window,
+/// the only ones a cold start can misclassify.
 ///
-/// With [`ShardMode::SnapshotHandoff`] the outcome is bit-identical to the
-/// unsharded sweep (the property tests prove this across random traces,
-/// spaces, shard and thread counts, both policies): each boundary crossing
-/// serializes the kernel and restores it into a fresh one, so the sharded
-/// path continuously exercises the snapshot wire format. Peak decoded-chunk
-/// memory per worker stays the [`BlockChunks`] chunk bound; kernel state is
-/// geometry-sized, independent of shard length.
-///
-/// With [`ShardMode::WarmupOverlap`] each `(block size, shard)` item is an
-/// independent parallel work unit: the shard replays up to `overlap`
-/// preceding records to warm its cold kernel, then simulates its own
-/// interval; the warmup's counts are subtracted out as a baseline. The
-/// summed result is an estimate whose error is bounded by first-touch
-/// counting: within a contiguous replayed window every non-first-touch
-/// access has its reuse interval inside the window and is classified
-/// exactly, so only first-touch-in-window accesses are unknowns — and each
-/// unknown that was truly a hit maps to a distinct block resident at the
-/// window start, capping the overcount at `sets × assoc` per boundary.
-/// [`SweepOutcome::bounds`] reports `Σ_{boundaries} min(first_touches,
-/// sets × assoc)` per configuration, flagged `guaranteed` only under LRU
-/// (FIFO lacks inclusion, so a cold FIFO queue can also *undercount*;
-/// the figure remains the right scale but not a proof — see DESIGN.md).
-/// [`SweepOutcome::records_simulated`] counts the warmup replays truthfully;
-/// [`SweepOutcome::trace_traversals`] stays the fused job count (the trace
-/// is still decoded once per block size worth of work).
-///
-/// `spec.shards <= 1` (or an empty trace) falls back to the unsharded
-/// sweep.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sharded(spec).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sharded(spec).run(records)"
-)]
-pub fn sweep_trace_sharded(
+/// The count saturates at the largest configuration of the space: beyond
+/// `max sets × max assoc` distinct blocks every per-configuration
+/// `min(first_touches, sets × assoc)` is already pinned, so the seen-set
+/// stays bounded by the space geometry plus the window, not by the
+/// measured length.
+fn first_touches(
     space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    spec: ShardSpec,
-) -> Result<SweepOutcome, DewError> {
-    sharded_impl(space, records, options, threads, spec)
-}
-
-/// Implementation behind [`sweep_trace_sharded`] and
-/// [`crate::SweepRequest::run`] with a shard spec.
-pub(crate) fn sharded_impl(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    spec: ShardSpec,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    if spec.shards <= 1 || records.is_empty() {
-        return sweep_trace_with(space, records, options, threads, false);
-    }
-    let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-    match spec.mode {
-        ShardMode::SnapshotHandoff => {
-            let traversals = run_sharded_handoff(
-                space,
-                &passes,
-                records,
-                options,
-                threads,
-                spec.shards,
-                &slots,
-            );
-            Ok(assemble(
-                space,
-                &passes,
-                slots,
-                records.len() as u64,
-                traversals,
-                options.policy,
-                false,
-            ))
+    block_bits: u32,
+    window: &[Record],
+    measured: &[Record],
+) -> u64 {
+    let cap = (1u64 << space.set_bits().1) * (1u64 << space.assoc_bits().1);
+    let mut seen: HashSet<u64> = window.iter().map(|r| r.addr >> block_bits).collect();
+    let mut count = 0u64;
+    for rec in measured {
+        if count >= cap {
+            break;
         }
-        ShardMode::WarmupOverlap { overlap } => Ok(run_warmup_overlap(
-            space,
-            &passes,
-            records,
-            options,
-            threads,
-            spec.shards,
-            overlap,
-            slots,
-        )),
+        if seen.insert(rec.addr >> block_bits) {
+            count += 1;
+        }
     }
+    count
 }
 
-/// The exact sharded scheduler: shards of one block size run in sequence on
-/// one logical kernel whose state crosses each boundary only as serialized
-/// snapshot bytes restored into a fresh kernel. Returns the traversal count
-/// (still the job count — the shards of a job partition one traversal).
-fn run_sharded_handoff(
+/// The cold-start slack of an estimating plan, per configuration:
+/// `Σ_{cold boundaries} min(first_touches, sets × assoc)` (a direct-mapped
+/// configuration caps at `sets`). `touches[j]` holds the first-touch count
+/// of each cold boundary of job `j`. The bound is guaranteed only under
+/// LRU (see [`ShardMode::WarmupOverlap`]).
+fn slack_bounds(
     space: &ConfigSpace,
     passes: &[PassConfig],
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    shards: usize,
-    slots: &[OnceLock<(PassResults, DewCounters)>],
-) -> u64 {
-    let jobs = group_by_block(passes);
-    let ranges = shard_ranges(records.len(), shards);
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = build_job_kernel(space, job, options);
-                    for (si, &(lo, hi)) in ranges.iter().enumerate() {
-                        if si > 0 {
-                            // The handoff is the point: state crosses the
-                            // boundary only as wire-format bytes, so every
-                            // sharded sweep doubles as a snapshot
-                            // round-trip exactness test.
-                            let bytes = kernel.to_snapshot();
-                            kernel = FusedKernel::from_snapshot(options.policy, &bytes)
-                                .expect("kernel snapshots round-trip");
-                        }
-                        chunks.reset(&records[lo..hi], job.block_bits);
-                        while let Some(chunk) = chunks.next_chunk() {
-                            kernel.run_blocks(chunk);
-                        }
-                    }
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
+    jobs: &[FusedJob],
+    touches: &[Vec<u64>],
+    policy: TreePolicy,
+) -> ShardBounds {
+    let include_dm = space.assoc_bits().0 == 0;
+    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
+    for (job, touches) in jobs.iter().zip(touches) {
+        let capped = |cap: u64| touches.iter().map(|&f| f.min(cap)).sum::<u64>();
+        for &i in &job.pass_idx {
+            let pass = &passes[i];
+            for sb in pass.min_set_bits()..=pass.max_set_bits() {
+                let sets = 1u32 << sb;
+                let cap = u64::from(sets) * u64::from(pass.assoc());
+                slack.insert((sets, pass.assoc(), pass.block_bytes()), capped(cap));
+                if include_dm {
+                    slack.insert((sets, 1, pass.block_bytes()), capped(u64::from(sets)));
                 }
-            });
+            }
         }
-    });
-    jobs.len() as u64
+    }
+    ShardBounds::new(slack, policy == TreePolicy::Lru)
 }
 
 /// Per-`(job, shard)` output of the warmup-overlap scheduler: the measured
 /// region's deltas for each of the job's passes, plus the shard's
-/// first-touch count (accesses whose reuse interval escapes the replayed
-/// window — the only accesses the warmup can misclassify).
+/// first-touch count.
 struct ShardPartial {
     /// Parallel to `job.pass_idx`.
     passes: Vec<(PassResults, DewCounters)>,
     first_touch: u64,
 }
 
-/// The estimating sharded scheduler: every `(block size, shard)` pair is an
-/// independent parallel item (this is the mode that adds intra-block-size
-/// parallelism and needs no sequential handoff). Builds the summed outcome
-/// with its [`ShardBounds`] directly.
-#[allow(clippy::too_many_arguments)]
-fn run_warmup_overlap(
+/// The warmup-overlap plan ([`ShardMode::WarmupOverlap`]): every
+/// `(block size, shard)` pair is an independent parallel item, which is
+/// why this plan keeps its own scheduler instead of the core's one job per
+/// block size. Builds the summed outcome with its [`ShardBounds`].
+pub(crate) fn warmup_overlap(
     space: &ConfigSpace,
-    passes: &[PassConfig],
     records: &[Record],
     options: DewOptions,
     threads: usize,
     shards: usize,
     overlap: usize,
-    slots: Vec<OnceLock<(PassResults, DewCounters)>>,
-) -> SweepOutcome {
-    let jobs = group_by_block(passes);
+) -> Result<SweepOutcome, DewError> {
+    if shards <= 1 || records.is_empty() {
+        let exact = Resilience::exact();
+        return run_resilient(
+            space,
+            &SliceSource(records),
+            &[],
+            options,
+            threads,
+            false,
+            &exact,
+        );
+    }
+    validate_request(space, options)?;
+    let passes = space.passes();
+    let jobs = group_by_block(&passes);
     let ranges = shard_ranges(records.len(), shards);
-    // First-touch tracking saturates at the largest configuration of the
-    // space: beyond `max sets × max assoc` distinct blocks, every per-config
-    // `min(F, sets × assoc)` is already pinned, so the seen-set stays
-    // bounded by the space geometry (plus the overlap window), not by the
-    // shard length.
-    let cap_max = {
-        let (_, smax) = space.set_bits();
-        let (_, amax) = space.assoc_bits();
-        (1u64 << smax) * (1u64 << amax)
-    };
     let items = jobs.len() * shards;
     let partials: Vec<OnceLock<ShardPartial>> = (0..items).map(|_| OnceLock::new()).collect();
     let workers = worker_count(threads, items);
@@ -595,15 +424,11 @@ fn run_warmup_overlap(
                     let job = &jobs[j];
                     let (lo, hi) = ranges[si];
                     let warm_lo = lo.saturating_sub(overlap);
-                    let mut kernel = build_job_kernel(space, job, options);
-                    let mut seen: HashSet<u64> = HashSet::new();
+                    let mut kernel = build_job_kernel(space, job, options, false);
                     // Warmup replay: simulate the preceding window, then
                     // freeze a baseline so its counts subtract out.
                     chunks.reset(&records[warm_lo..lo], job.block_bits);
                     while let Some(chunk) = chunks.next_chunk() {
-                        if si > 0 {
-                            seen.extend(chunk.iter().copied());
-                        }
                         kernel.run_blocks(chunk);
                     }
                     let baseline: Vec<(PassResults, DewCounters)> = job
@@ -611,23 +436,17 @@ fn run_warmup_overlap(
                         .iter()
                         .map(|&i| kernel.fan_out(passes[i].assoc()))
                         .collect();
-                    // Measured region, counting first touches (shard 0
-                    // starts exact — its "window" is the whole prefix).
-                    let mut first_touch = 0u64;
                     chunks.reset(&records[lo..hi], job.block_bits);
                     while let Some(chunk) = chunks.next_chunk() {
-                        if si > 0 && first_touch < cap_max {
-                            for &block in chunk {
-                                if first_touch >= cap_max {
-                                    break;
-                                }
-                                if seen.insert(block) {
-                                    first_touch += 1;
-                                }
-                            }
-                        }
                         kernel.run_blocks(chunk);
                     }
+                    // Shard 0 starts exact: its "window" is the whole prefix.
+                    let first_touch = if si == 0 {
+                        0
+                    } else {
+                        let window = &records[warm_lo..lo];
+                        first_touches(space, job.block_bits, window, &records[lo..hi])
+                    };
                     let partial = ShardPartial {
                         passes: job
                             .pass_idx
@@ -649,54 +468,29 @@ fn run_warmup_overlap(
             });
         }
     });
+    let partial = |j: usize, si: usize| {
+        partials[j * shards + si]
+            .get()
+            .expect("all items completed")
+    };
 
     // Sum the measured-region deltas shard by shard into the pass slots.
+    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
+        passes.iter().map(|_| OnceLock::new()).collect();
     for (j, job) in jobs.iter().enumerate() {
         for (p, &i) in job.pass_idx.iter().enumerate() {
-            let mut acc: Option<(PassResults, DewCounters)> = None;
-            for si in 0..shards {
-                let part = partials[j * shards + si]
-                    .get()
-                    .expect("all items completed");
-                let (results, counters) = &part.passes[p];
-                acc = Some(match acc {
-                    None => (results.clone(), *counters),
-                    Some((ar, ac)) => (results_add(&ar, results), ac + *counters),
-                });
-            }
-            let claimed = slots[i].set(acc.expect("shards >= 1"));
+            let (first, first_counters) = &partial(j, 0).passes[p];
+            let sum = (1..shards).fold((first.clone(), *first_counters), |(ar, ac), si| {
+                let (results, counters) = &partial(j, si).passes[p];
+                (results_add(&ar, results), ac + *counters)
+            });
+            let claimed = slots[i].set(sum);
             assert!(claimed.is_ok(), "slot {i} filled exactly once");
         }
     }
-
-    // Slack per configuration: sum over cold boundaries of
-    // min(first_touches, sets × assoc).
-    let include_dm = space.assoc_bits().0 == 0;
-    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let touches: Vec<u64> = (1..shards)
-            .map(|si| {
-                partials[j * shards + si]
-                    .get()
-                    .expect("all items completed")
-                    .first_touch
-            })
-            .collect();
-        for &i in &job.pass_idx {
-            let pass = &passes[i];
-            for sb in pass.min_set_bits()..=pass.max_set_bits() {
-                let sets = 1u32 << sb;
-                let cap = u64::from(sets) * u64::from(pass.assoc());
-                let total: u64 = touches.iter().map(|&f| f.min(cap)).sum();
-                slack.insert((sets, pass.assoc(), pass.block_bytes()), total);
-                if include_dm {
-                    let dm_cap = u64::from(sets);
-                    let dm_total: u64 = touches.iter().map(|&f| f.min(dm_cap)).sum();
-                    slack.insert((sets, 1, pass.block_bytes()), dm_total);
-                }
-            }
-        }
-    }
+    let touches: Vec<Vec<u64>> = (0..jobs.len())
+        .map(|j| (1..shards).map(|si| partial(j, si).first_touch).collect())
+        .collect();
 
     let warmup_total: u64 = ranges
         .iter()
@@ -704,9 +498,9 @@ fn run_warmup_overlap(
         .map(|&(lo, _)| (lo - lo.saturating_sub(overlap)) as u64)
         .sum();
     let records_simulated = jobs.len() as u64 * (records.len() as u64 + warmup_total);
-    assemble(
+    Ok(assemble(
         space,
-        passes,
+        &passes,
         slots,
         records.len() as u64,
         jobs.len() as u64,
@@ -714,51 +508,20 @@ fn run_warmup_overlap(
         false,
     )
     .with_records_simulated(records_simulated)
-    .with_bounds(ShardBounds::new(slack, options.policy == TreePolicy::Lru))
+    .with_bounds(slack_bounds(
+        space,
+        &passes,
+        &jobs,
+        &touches,
+        options.policy,
+    )))
 }
 
-/// [`sweep_trace`] over a **periodic cluster sample** of `records`: from
-/// every window of `period` records, the leading `sample_len` are kept
-/// (see `dew_trace::sample::periodic`) and spliced into one continuous
-/// stream per fused kernel.
-///
-/// The returned outcome describes the *sampled* stream — `accesses()` is
-/// the retained record count and miss counts are raw counts over it;
-/// extrapolate by `period / sample_len` for full-trace estimates (that
-/// extrapolation error is statistical and not bounded here). What *is*
-/// bounded is the splice error inside the measured stream: each cluster is
-/// a contiguous original-trace window, so exactly the warmup-overlap
-/// argument applies per cluster — non-first-touch accesses within a
-/// cluster are classified exactly, and [`SweepOutcome::bounds`] carries
-/// `Σ_{clusters after the first} min(first_touches, sets × assoc)` per
-/// configuration (guaranteed for LRU, heuristic for FIFO).
-///
-/// `sample_len == period` keeps everything and falls back to the full
-/// sweep.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sampled(period, sample_len).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sampled(period, sample_len).run(records)"
-)]
-pub fn sweep_trace_sampled(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    period: usize,
-    sample_len: usize,
-) -> Result<SweepOutcome, DewError> {
-    sampled_impl(space, records, options, threads, period, sample_len)
-}
-
-/// Implementation behind [`sweep_trace_sampled`] and
-/// [`crate::SweepRequest::run`] with a sampling plan.
-pub(crate) fn sampled_impl(
+/// The sample plan ([`crate::SweepRequest::sampled`]): keeps the leading
+/// `sample_len` records of every `period`-record window, runs the spliced
+/// stream through the core, then reconciles: every cluster after the first
+/// is a cold boundary whose first touches feed [`slack_bounds`].
+pub(crate) fn sampled(
     space: &ConfigSpace,
     records: &[Record],
     options: DewOptions,
@@ -772,8 +535,17 @@ pub(crate) fn sampled_impl(
             "sampling needs 0 < sample_len <= period",
         ));
     }
+    let exact = Resilience::exact();
     if sample_len == period {
-        return sweep_trace_with(space, records, options, threads, false);
+        return run_resilient(
+            space,
+            &SliceSource(records),
+            &[],
+            options,
+            threads,
+            false,
+            &exact,
+        );
     }
     let sampled: Vec<Record> = records
         .iter()
@@ -781,226 +553,47 @@ pub(crate) fn sampled_impl(
         .filter(|(i, _)| i % period < sample_len)
         .map(|(_, r)| *r)
         .collect();
+    let outcome = run_resilient(
+        space,
+        &SliceSource(&sampled),
+        &[],
+        options,
+        threads,
+        false,
+        &exact,
+    )?;
 
+    // Each cluster is a contiguous original-trace window; cluster 0 starts
+    // on exact state, every later one cold.
     let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
     let jobs = group_by_block(&passes);
-    let cap_max = {
-        let (_, smax) = space.set_bits();
-        let (_, amax) = space.assoc_bits();
-        (1u64 << smax) * (1u64 << amax)
-    };
-    // Per-job first-touch totals over clusters 1.. (cluster 0 starts exact),
-    // each already saturated at every per-config cap via min() at sum time —
-    // so only the per-cluster counts are kept, as one capped running vector.
-    let touch_slots: Vec<OnceLock<Vec<u64>>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut chunks = BlockChunks::new(&[], 0, BlockChunks::DEFAULT_CHUNK);
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(j) else { break };
-                    let mut kernel = build_job_kernel(space, job, options);
-                    let mut seen: HashSet<u64> = HashSet::new();
-                    let mut touches: Vec<u64> = Vec::new();
-                    let mut cluster_touch = 0u64;
-                    let mut pos = 0usize;
-                    chunks.reset(&sampled, job.block_bits);
-                    while let Some(chunk) = chunks.next_chunk() {
-                        for &block in chunk {
-                            if pos % sample_len == 0 {
-                                // New cluster: the previous window closes.
-                                if pos > 0 {
-                                    touches.push(cluster_touch);
-                                }
-                                seen.clear();
-                                cluster_touch = 0;
-                            }
-                            // Cluster 0 starts on exact state; later
-                            // clusters count first touches (saturated at
-                            // the space's largest configuration).
-                            if pos >= sample_len && cluster_touch < cap_max && seen.insert(block) {
-                                cluster_touch += 1;
-                            }
-                            pos += 1;
-                        }
-                        kernel.run_blocks(chunk);
-                    }
-                    if pos > sample_len {
-                        touches.push(cluster_touch);
-                    }
-                    let claimed = touch_slots[j].set(touches);
-                    assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
-                    for &i in &job.pass_idx {
-                        let fanned = kernel.fan_out(passes[i].assoc());
-                        let claimed = slots[i].set(fanned);
-                        assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                    }
-                }
-            });
-        }
-    });
-
-    let include_dm = space.assoc_bits().0 == 0;
-    let mut slack: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let touches = touch_slots[j].get().expect("all jobs completed");
-        for &i in &job.pass_idx {
-            let pass = &passes[i];
-            for sb in pass.min_set_bits()..=pass.max_set_bits() {
-                let sets = 1u32 << sb;
-                let cap = u64::from(sets) * u64::from(pass.assoc());
-                let total: u64 = touches.iter().map(|&f| f.min(cap)).sum();
-                slack.insert((sets, pass.assoc(), pass.block_bytes()), total);
-                if include_dm {
-                    let dm_cap = u64::from(sets);
-                    let dm_total: u64 = touches.iter().map(|&f| f.min(dm_cap)).sum();
-                    slack.insert((sets, 1, pass.block_bytes()), dm_total);
-                }
-            }
-        }
-    }
-
-    Ok(assemble(
+    let touches: Vec<Vec<u64>> = jobs
+        .iter()
+        .map(|job| {
+            sampled
+                .chunks(sample_len)
+                .skip(1)
+                .map(|cluster| first_touches(space, job.block_bits, &[], cluster))
+                .collect()
+        })
+        .collect();
+    Ok(outcome.with_bounds(slack_bounds(
         space,
         &passes,
-        slots,
-        sampled.len() as u64,
-        jobs.len() as u64,
+        &jobs,
+        &touches,
         options.policy,
-        false,
-    )
-    .with_records_simulated(sampled.len() as u64 * jobs.len() as u64)
-    .with_bounds(ShardBounds::new(slack, options.policy == TreePolicy::Lru)))
-}
-
-/// [`sweep_trace`] from a re-openable [`TraceSource`] instead of an
-/// in-memory record slice: each fused job opens its own reader and streams
-/// it through a [`StreamBlockChunks`] decoder, so peak memory per worker is
-/// the chunk buffer (`BlockChunks::DEFAULT_CHUNK × 8` bytes) plus
-/// geometry-sized kernel state — the trace itself is never resident. This
-/// is the path that sweeps billion-request traces in megabytes.
-///
-/// The source is opened once per block size (the fused traversal count);
-/// it must replay identically on every open — the driver cross-checks the
-/// decoded record counts across jobs and panics on disagreement.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).run_streamed(source)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run_streamed`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).run_streamed(source)"
-)]
-pub fn sweep_trace_streamed<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    streamed_impl(space, source, options, threads)
-}
-
-/// Implementation behind [`sweep_trace_streamed`] and
-/// [`crate::SweepRequest::run_streamed`].
-pub(crate) fn streamed_impl<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-) -> Result<SweepOutcome, DewError> {
-    validate_request(space, options)?;
-    let passes = space.passes();
-    let slots: Vec<OnceLock<(PassResults, DewCounters)>> =
-        passes.iter().map(|_| OnceLock::new()).collect();
-    let jobs = group_by_block(&passes);
-    let counts: Vec<OnceLock<u64>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let failure: OnceLock<String> = OnceLock::new();
-    let workers = worker_count(threads, jobs.len());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if failure.get().is_some() {
-                    break;
-                }
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(j) else { break };
-                let reader = match source.open() {
-                    Ok(reader) => reader,
-                    Err(err) => {
-                        // Name the failing job: a degraded-mode report needs
-                        // to say *which* configuration family died, not just
-                        // what the I/O layer said.
-                        let _ = failure.set(format!(
-                            "{}: opening source: {err}",
-                            job_label(job.block_bits, options.policy)
-                        ));
-                        break;
-                    }
-                };
-                let mut chunks =
-                    StreamBlockChunks::new(reader, job.block_bits, BlockChunks::DEFAULT_CHUNK);
-                let mut kernel = build_job_kernel(space, job, options);
-                loop {
-                    match chunks.next_chunk() {
-                        Ok(Some(chunk)) => kernel.run_blocks(chunk),
-                        Ok(None) => break,
-                        Err(err) => {
-                            let _ = failure.set(format!(
-                                "{}: at record {}: {err}",
-                                job_label(job.block_bits, options.policy),
-                                chunks.decoded()
-                            ));
-                            return;
-                        }
-                    }
-                }
-                let claimed = counts[j].set(chunks.decoded());
-                assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
-                for &i in &job.pass_idx {
-                    let fanned = kernel.fan_out(passes[i].assoc());
-                    let claimed = slots[i].set(fanned);
-                    assert!(claimed.is_ok(), "slot {i} claimed by exactly one worker");
-                }
-            });
-        }
-    });
-    if let Some(why) = failure.get() {
-        return Err(DewError::TraceRead(why.clone()));
-    }
-    let accesses = counts.first().and_then(|c| c.get().copied()).unwrap_or(0);
-    for count in &counts {
-        assert_eq!(
-            count.get().copied(),
-            Some(accesses),
-            "trace source must replay identically on every open"
-        );
-    }
-    Ok(assemble(
-        space,
-        &passes,
-        slots,
-        accesses,
-        jobs.len() as u64,
-        options.policy,
-        false,
-    ))
+    )))
 }
 
 // ---------------------------------------------------------------------------
-// Resilient sweeps: checkpoint/resume, retry with bounded backoff, panic
-// isolation, graceful degradation.
+// The core: one fused job per block size, streamed from a trace source
+// under checkpoint/resume, retry with bounded backoff, panic isolation and
+// graceful degradation.
 // ---------------------------------------------------------------------------
 
-/// Human-readable identity of a fused job for resilience-path error
-/// messages: one fused job covers every configuration of one block size.
+/// Human-readable identity of a fused job for error messages: one fused
+/// job covers every configuration of one block size.
 fn job_label(block_bits: u32, policy: TreePolicy) -> String {
     format!("block {}B ({policy})", 1u64 << block_bits)
 }
@@ -1016,7 +609,7 @@ struct ResumeJob {
 /// per-pass fanned results)`.
 type FinishedJob = (usize, u64, Vec<(PassResults, DewCounters)>);
 
-/// What a resilient worker records for its job.
+/// What a worker records for its job.
 enum JobOutcome {
     /// The job ran to the end of the stream; `decoded` records were
     /// consumed and `fanned` parallels `FusedJob::pass_idx`.
@@ -1027,8 +620,7 @@ enum JobOutcome {
     Failed(JobFailure),
 }
 
-/// Internal failure of one resilient job (before it becomes a
-/// [`JobFailure`]).
+/// Internal failure of one job (before it becomes a [`JobFailure`]).
 enum JobError {
     /// The source failed fatally, or exhausted its retry budget.
     Source { records_done: u64, message: String },
@@ -1054,15 +646,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shared state of one resilient sweep, borrowed by every worker.
+/// Shared state of one sweep on the core, borrowed by every worker.
 struct ResilientRun<'a, S> {
     space: &'a ConfigSpace,
     source: &'a S,
     passes: &'a [PassConfig],
     /// Sorted record positions where kernel state must cross a shard
-    /// boundary as snapshot bytes (empty for unsharded drivers).
+    /// boundary as snapshot bytes (empty for unsharded plans).
     boundaries: &'a [u64],
     options: DewOptions,
+    /// Build instrumented kernels (full [`DewCounters`] breakdown).
+    instrument: bool,
     res: &'a Resilience<'a>,
     /// The evolving checkpoint image (present iff checkpointing is on).
     ckpt: Option<Mutex<SweepCheckpoint>>,
@@ -1195,11 +789,16 @@ impl<S: TraceSource> ResilientRun<'_, S> {
         job: &FusedJob,
         resume: Option<ResumeJob>,
         position_out: &AtomicU64,
+        buf: &mut Vec<u64>,
     ) -> Result<(u64, Vec<(PassResults, DewCounters)>), JobError> {
         let label = job_label(job.block_bits, self.options.policy);
         let (mut kernel, mut position, complete) = match resume {
             Some(r) => (r.kernel, r.records_done, r.complete),
-            None => (build_job_kernel(self.space, job, self.options), 0, false),
+            None => (
+                build_job_kernel(self.space, job, self.options, self.instrument),
+                0,
+                false,
+            ),
         };
         position_out.store(position, Ordering::Relaxed);
         if !complete {
@@ -1209,7 +808,8 @@ impl<S: TraceSource> ResilientRun<'_, S> {
             let mut next_ckpt = every.map(|e| (position / e + 1) * e);
             let mut attempts = 0u32;
             let mut last_fault: Option<u64> = None;
-            let mut buf: Vec<u64> = Vec::with_capacity(BlockChunks::DEFAULT_CHUNK);
+            // The worker's buffer may hold a panicked job's leftovers.
+            buf.clear();
             // A token that fired before this job started (an already-expired
             // deadline, a drain in progress) stops it before any decode; the
             // resume state captured here is the job's honest position.
@@ -1231,14 +831,13 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                                 self.boundaries.get(next_boundary).copied() == Some(position);
                             let at_ckpt = next_ckpt == Some(position);
                             if buf.len() >= BlockChunks::DEFAULT_CHUNK || at_boundary || at_ckpt {
-                                kernel.run_blocks(&buf);
+                                kernel.run_blocks(buf);
                                 buf.clear();
                                 position_out.store(position, Ordering::Relaxed);
                                 if at_boundary {
-                                    // Shard handoff, exactly as in
-                                    // `run_sharded_handoff`: state crosses
-                                    // the boundary only as wire-format
-                                    // bytes (an identity round trip).
+                                    // Shard handoff: state crosses the
+                                    // boundary only as wire-format bytes
+                                    // (an identity round trip).
                                     let bytes = kernel.to_snapshot();
                                     kernel =
                                         FusedKernel::from_snapshot(self.options.policy, &bytes)
@@ -1274,7 +873,7 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                             // them before judging the error, so a retry
                             // replays from the exact failure point.
                             if !buf.is_empty() {
-                                kernel.run_blocks(&buf);
+                                kernel.run_blocks(buf);
                                 buf.clear();
                             }
                             position_out.store(position, Ordering::Relaxed);
@@ -1307,7 +906,7 @@ impl<S: TraceSource> ResilientRun<'_, S> {
                         }
                         None => {
                             if !buf.is_empty() {
-                                kernel.run_blocks(&buf);
+                                kernel.run_blocks(buf);
                                 buf.clear();
                             }
                             position_out.store(position, Ordering::Relaxed);
@@ -1329,14 +928,17 @@ impl<S: TraceSource> ResilientRun<'_, S> {
     }
 }
 
-/// The shared fault-tolerant driver behind the resilient forwarders and
-/// [`crate::SweepRequest`]'s resilient dispatch.
+/// The core every exact plan runs on: one fused job per block size,
+/// claimed by `threads` workers and streamed from `source`, with kernel
+/// state handed across `boundaries` as snapshot bytes, under the contract
+/// of `res` (a non-resilient plan passes [`Resilience::exact`]).
 pub(crate) fn run_resilient<S: TraceSource>(
     space: &ConfigSpace,
     source: &S,
     boundaries: &[u64],
     options: DewOptions,
     threads: usize,
+    instrument: bool,
     res: &Resilience<'_>,
 ) -> Result<SweepOutcome, DewError> {
     validate_request(space, options)?;
@@ -1387,6 +989,7 @@ pub(crate) fn run_resilient<S: TraceSource>(
         passes: &passes,
         boundaries,
         options,
+        instrument,
         res,
         ckpt: res.checkpoint.map(|_| {
             Mutex::new(match res.resume {
@@ -1406,85 +1009,90 @@ pub(crate) fn run_resilient<S: TraceSource>(
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                if run.abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(j) else { break };
-                let resume = resume_slots[j]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                // Panic isolation: a kernel blow-up fails this job, not the
-                // sweep. The shared state a panic could leave mid-update is
-                // per-job (kernel, buffers) or poison-tolerant (checkpoint
-                // mutex), so the unwind boundary is sound to cross.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run.run_job(job, resume, &positions[j])
-                }));
-                let outcome = match caught {
-                    Ok(Ok((decoded, fanned))) => JobOutcome::Done { decoded, fanned },
-                    Ok(Err(JobError::Source {
-                        records_done,
-                        message,
-                    })) => {
-                        let failure = JobFailure {
-                            block_bits: job.block_bits,
-                            records_done,
-                            error: message,
-                            kind: FailureKind::Source,
-                        };
-                        let _ = run.first_failure.set(failure.clone());
-                        if run.res.fail_fast {
-                            run.abort.store(true, Ordering::Relaxed);
-                        }
-                        JobOutcome::Failed(failure)
+            s.spawn(|| {
+                // One decode buffer per worker, reused across its jobs.
+                let mut buf: Vec<u64> = Vec::with_capacity(BlockChunks::DEFAULT_CHUNK);
+                loop {
+                    if run.abort.load(Ordering::Relaxed) {
+                        break;
                     }
-                    Ok(Err(JobError::Aborted)) => JobOutcome::Failed(JobFailure {
-                        block_bits: job.block_bits,
-                        records_done: positions[j].load(Ordering::Relaxed),
-                        error: format!(
-                            "{}: abandoned after the sweep aborted",
-                            job_label(job.block_bits, options.policy)
-                        ),
-                        kind: FailureKind::Source,
-                    }),
-                    // Cancellation is not causal — it never lands in
-                    // `first_failure` and never aborts the other jobs
-                    // (the shared token reaches each of them directly).
-                    Ok(Err(JobError::Cancelled {
-                        records_done,
-                        reason,
-                    })) => JobOutcome::Failed(JobFailure {
-                        block_bits: job.block_bits,
-                        records_done,
-                        error: format!(
-                            "{}: {reason} after {records_done} records",
-                            job_label(job.block_bits, options.policy)
-                        ),
-                        kind: FailureKind::Cancelled,
-                    }),
-                    Err(payload) => {
-                        let failure = JobFailure {
+                    let j = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(j) else { break };
+                    let resume = resume_slots[j]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .take();
+                    // Panic isolation: a kernel blow-up fails this job, not the
+                    // sweep. The shared state a panic could leave mid-update is
+                    // per-job (kernel), reset per job (the worker's buffer) or
+                    // poison-tolerant (checkpoint mutex), so the unwind
+                    // boundary is sound to cross.
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run.run_job(job, resume, &positions[j], &mut buf)
+                    }));
+                    let outcome = match caught {
+                        Ok(Ok((decoded, fanned))) => JobOutcome::Done { decoded, fanned },
+                        Ok(Err(JobError::Source {
+                            records_done,
+                            message,
+                        })) => {
+                            let failure = JobFailure {
+                                block_bits: job.block_bits,
+                                records_done,
+                                error: message,
+                                kind: FailureKind::Source,
+                            };
+                            let _ = run.first_failure.set(failure.clone());
+                            if run.res.fail_fast {
+                                run.abort.store(true, Ordering::Relaxed);
+                            }
+                            JobOutcome::Failed(failure)
+                        }
+                        Ok(Err(JobError::Aborted)) => JobOutcome::Failed(JobFailure {
                             block_bits: job.block_bits,
                             records_done: positions[j].load(Ordering::Relaxed),
                             error: format!(
-                                "{}: worker panicked: {}",
-                                job_label(job.block_bits, options.policy),
-                                panic_message(payload.as_ref())
+                                "{}: abandoned after the sweep aborted",
+                                job_label(job.block_bits, options.policy)
                             ),
-                            kind: FailureKind::Panic,
-                        };
-                        let _ = run.first_failure.set(failure.clone());
-                        if run.res.fail_fast {
-                            run.abort.store(true, Ordering::Relaxed);
+                            kind: FailureKind::Source,
+                        }),
+                        // Cancellation is not causal — it never lands in
+                        // `first_failure` and never aborts the other jobs
+                        // (the shared token reaches each of them directly).
+                        Ok(Err(JobError::Cancelled {
+                            records_done,
+                            reason,
+                        })) => JobOutcome::Failed(JobFailure {
+                            block_bits: job.block_bits,
+                            records_done,
+                            error: format!(
+                                "{}: {reason} after {records_done} records",
+                                job_label(job.block_bits, options.policy)
+                            ),
+                            kind: FailureKind::Cancelled,
+                        }),
+                        Err(payload) => {
+                            let failure = JobFailure {
+                                block_bits: job.block_bits,
+                                records_done: positions[j].load(Ordering::Relaxed),
+                                error: format!(
+                                    "{}: worker panicked: {}",
+                                    job_label(job.block_bits, options.policy),
+                                    panic_message(payload.as_ref())
+                                ),
+                                kind: FailureKind::Panic,
+                            };
+                            let _ = run.first_failure.set(failure.clone());
+                            if run.res.fail_fast {
+                                run.abort.store(true, Ordering::Relaxed);
+                            }
+                            JobOutcome::Failed(failure)
                         }
-                        JobOutcome::Failed(failure)
-                    }
-                };
-                let claimed = outcomes[j].set(outcome);
-                assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
+                    };
+                    let claimed = outcomes[j].set(outcome);
+                    assert!(claimed.is_ok(), "job {j} claimed by exactly one worker");
+                }
             });
         }
     });
@@ -1582,138 +1190,11 @@ pub(crate) fn run_resilient<S: TraceSource>(
     .with_failures(failed, retries, records_lost))
 }
 
-/// Fault-tolerant [`sweep_trace`]: the same fused kernels and bit-identical
-/// results on the happy path, plus the resilience contract of
-/// [`Resilience`] — periodic [`SweepCheckpoint`]s, resume, retry with
-/// bounded backoff for transient source failures, per-job panic isolation,
-/// and graceful degradation (a partial [`SweepOutcome`] whose
-/// [`SweepOutcome::failed_jobs`] / [`SweepOutcome::retries`] /
-/// [`SweepOutcome::records_lost`] tell the truth about what was lost).
-///
-/// Resuming from a checkpoint is **bit-identical** to the uninterrupted
-/// sweep: a checkpoint stores each job's exact kernel snapshot at an exact
-/// record position, restoring a snapshot is an identity (property-tested),
-/// and the kernels are insensitive to how the replayed stream is chunked.
-///
-/// # Errors
-///
-/// [`DewError::UnsoundOptions`] when `options` fails validation;
-/// [`DewError::Checkpoint`] when a resume checkpoint mismatches this sweep
-/// (policy, fingerprint, undecodable kernel) or the checkpoint store fails
-/// mid-run; [`DewError::TraceRead`] / [`DewError::WorkerPanic`] when
-/// `fail_fast` is set and a job fails, or when *every* job fails.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).resilient(res).run(records)`.
-///
-/// # Examples
-///
-/// ```
-/// use dew_core::{ConfigSpace, DewOptions, Resilience, SweepRequest};
-/// use dew_trace::Record;
-///
-/// # fn main() -> Result<(), dew_core::DewError> {
-/// let space = ConfigSpace::new((0, 4), (2, 4), (0, 2))?;
-/// let trace: Vec<Record> = (0..500u64).map(|i| Record::read((i % 97) * 4)).collect();
-/// let plain = SweepRequest::new(&space).threads(1).run(&trace)?;
-/// let res = Resilience::new();
-/// let resilient = SweepRequest::new(&space).threads(1).resilient(&res).run(&trace)?;
-/// assert!(!resilient.is_partial());
-/// assert_eq!(resilient.sorted(), plain.sorted());
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).resilient(res).run(records)"
-)]
-pub fn sweep_trace_resilient(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    run_resilient(space, &SliceSource(records), &[], options, threads, res)
-}
-
-/// Fault-tolerant [`sweep_trace_sharded`] in snapshot-handoff mode: kernel
-/// state crosses each of the `shards` interval boundaries as serialized
-/// snapshot bytes (bit-identical to the unsharded sweep), under the full
-/// resilience contract of [`sweep_trace_resilient`]. Checkpoints compose
-/// with sharding — both reuse the same snapshot identity — and a
-/// checkpoint taken under one shard count resumes soundly under another.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).sharded(ShardSpec { shards, mode: ShardMode::SnapshotHandoff }).resilient(res).run(records)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).sharded(ShardSpec { shards, mode: ShardMode::SnapshotHandoff }).resilient(res).run(records)"
-)]
-pub fn sweep_trace_sharded_resilient(
-    space: &ConfigSpace,
-    records: &[Record],
-    options: DewOptions,
-    threads: usize,
-    shards: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    let boundaries = handoff_boundaries(records.len(), shards);
-    run_resilient(
-        space,
-        &SliceSource(records),
-        &boundaries,
-        options,
-        threads,
-        res,
-    )
-}
-
-/// The snapshot-handoff boundary positions for `n` records split into
-/// `shards` contiguous intervals — the record indices at which a resilient
-/// sharded sweep serialises and restores each kernel.
-pub(crate) fn handoff_boundaries(n: usize, shards: usize) -> Vec<u64> {
-    shard_ranges(n, shards)
-        .iter()
-        .skip(1)
-        .map(|&(lo, _)| lo as u64)
-        .collect()
-}
-
-/// Fault-tolerant [`sweep_trace_streamed`]: bounded-memory sweeping from a
-/// re-openable [`TraceSource`] under the full resilience contract of
-/// [`sweep_trace_resilient`]. This is the driver for billion-request runs:
-/// transient I/O faults are retried with backoff (re-open + replay to the
-/// failure point — the source must replay identically on every open),
-/// fatal faults degrade to per-job failures, and `--checkpoint`-style
-/// periodic snapshots make a crash cost at most `every` records of replay.
-///
-/// Equivalent builder call:
-/// `SweepRequest::new(space).options(options).threads(threads).resilient(res).run_streamed(source)`.
-///
-/// # Errors
-///
-/// As [`crate::SweepRequest::run_streamed`].
-#[deprecated(
-    note = "use SweepRequest::new(space).options(options).threads(threads).resilient(res).run_streamed(source)"
-)]
-pub fn sweep_trace_streamed_resilient<S: TraceSource>(
-    space: &ConfigSpace,
-    source: &S,
-    options: DewOptions,
-    threads: usize,
-    res: &Resilience<'_>,
-) -> Result<SweepOutcome, DewError> {
-    run_resilient(space, source, &[], options, threads, res)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::tree::DewTree;
+    use crate::SweepRequest;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 
     fn trace(n: usize) -> Vec<Record> {
@@ -1737,7 +1218,11 @@ mod tests {
     fn sweep_covers_every_config_exactly() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1200);
-        let outcome = sweep_trace(&space, &records, DewOptions::default(), 2).expect("sweep");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(2)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(outcome.config_count() as u64, space.config_count());
         assert_eq!(outcome.accesses(), 1200);
         for (sets, assoc, block) in space.configs() {
@@ -1760,7 +1245,11 @@ mod tests {
         // block size cost exactly one decode and one trace traversal.
         let records = trace(900);
         let single_block = ConfigSpace::new((0, 6), (2, 2), (0, 3)).expect("valid");
-        let outcome = sweep_trace_instrumented(&single_block, &records, DewOptions::default(), 0)
+        let outcome = SweepRequest::new(&single_block)
+            .options(DewOptions::default())
+            .threads(0)
+            .instrumented(true)
+            .run(&records)
             .expect("sweep");
         assert_eq!(outcome.trace_traversals(), 1);
         // All walk-level counters of the block size's passes are the shared
@@ -1773,7 +1262,11 @@ mod tests {
         assert!(evals.iter().all(|&e| e > 0 && e == evals[0]));
 
         let multi_block = ConfigSpace::new((0, 4), (0, 2), (0, 3)).expect("valid");
-        let outcome = sweep_trace_instrumented(&multi_block, &records, DewOptions::default(), 0)
+        let outcome = SweepRequest::new(&multi_block)
+            .options(DewOptions::default())
+            .threads(0)
+            .instrumented(true)
+            .run(&records)
             .expect("sweep");
         assert_eq!(outcome.trace_traversals(), 3, "one per block size");
     }
@@ -1782,7 +1275,11 @@ mod tests {
     fn fused_matches_manual_per_pass_trees_bit_identically() {
         let records = trace(1500);
         let space = ConfigSpace::new((0, 5), (1, 3), (0, 3)).expect("valid");
-        let fused = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let fused = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
         for pass in space.passes() {
             let mut tree = DewTree::new(pass, DewOptions::default()).expect("sound");
             tree.run(records.iter().copied());
@@ -1806,7 +1303,11 @@ mod tests {
     fn lru_sweep_fuses_to_one_traversal_per_block_size() {
         let records = trace(400);
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 2)).expect("valid");
-        let outcome = sweep_trace(&space, &records, DewOptions::lru(), 2).expect("sweep");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::lru())
+            .threads(2)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(
             outcome.trace_traversals(),
             2,
@@ -1827,8 +1328,17 @@ mod tests {
     fn instrumented_lru_sweep_shares_the_walk_and_matches_fast() {
         let records = trace(700);
         let space = ConfigSpace::new((0, 4), (2, 2), (0, 3)).expect("valid");
-        let fast = sweep_trace(&space, &records, DewOptions::lru(), 0).expect("sweep");
-        let slow = sweep_trace_instrumented(&space, &records, DewOptions::lru(), 0).expect("sweep");
+        let fast = SweepRequest::new(&space)
+            .options(DewOptions::lru())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
+        let slow = SweepRequest::new(&space)
+            .options(DewOptions::lru())
+            .threads(0)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(slow.trace_traversals(), 1, "one block size, one traversal");
         let mut a = fast.sorted();
         let mut b = slow.sorted();
@@ -1851,8 +1361,16 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let space = ConfigSpace::new((0, 5), (0, 3), (0, 3)).expect("valid");
         let records = trace(800);
-        let seq = sweep_trace(&space, &records, DewOptions::default(), 1).expect("sweep");
-        let par = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let seq = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
+        let par = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
         let mut a = seq.sorted();
         let mut b = par.sorted();
         a.sort_by_key(|c| (c.block_bytes, c.assoc, c.sets));
@@ -1865,9 +1383,17 @@ mod tests {
     fn instrumented_sweep_matches_fast_sweep() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(900);
-        let fast = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
-        let slow =
-            sweep_trace_instrumented(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let fast = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
+        let slow = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         let mut a = fast.sorted();
         let mut b = slow.sorted();
         a.sort_by_key(|c| (c.block_bytes, c.assoc, c.sets));
@@ -1885,15 +1411,23 @@ mod tests {
             policy: crate::options::TreePolicy::Lru,
             ..DewOptions::default()
         };
-        assert!(sweep_trace(&space, &[], opts, 1).is_err());
+        assert!(SweepRequest::new(&space)
+            .options(opts)
+            .threads(1)
+            .run(&[])
+            .is_err());
     }
 
     #[test]
     fn counters_reported_per_pass() {
         let space = ConfigSpace::new((0, 3), (1, 2), (0, 1)).expect("valid");
         let records = trace(300);
-        let outcome =
-            sweep_trace_instrumented(&space, &records, DewOptions::default(), 1).expect("sweep");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .instrumented(true)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(outcome.passes().len(), space.passes().len());
         for (_, c) in outcome.passes() {
             assert_eq!(c.accesses, 300);
@@ -1918,14 +1452,22 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let sequential = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let sequential = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run(&records)
+                .expect("sweep");
             for shards in [2, 3, 5, 7] {
                 let spec = ShardSpec {
                     shards,
                     mode: ShardMode::SnapshotHandoff,
                 };
-                let sharded =
-                    sweep_trace_sharded(&space, &records, options, 0, spec).expect("sharded");
+                let sharded = SweepRequest::new(&space)
+                    .options(options)
+                    .threads(0)
+                    .sharded(spec)
+                    .run(&records)
+                    .expect("sharded");
                 assert_eq!(sharded.sorted(), sequential.sorted(), "shards={shards}");
                 assert_eq!(sharded.trace_traversals(), sequential.trace_traversals());
                 assert_eq!(sharded.records_simulated(), sequential.records_simulated());
@@ -1942,8 +1484,17 @@ mod tests {
             shards: 1,
             mode: ShardMode::SnapshotHandoff,
         };
-        let a = sweep_trace_sharded(&space, &records, DewOptions::default(), 1, spec).expect("ok");
-        let b = sweep_trace(&space, &records, DewOptions::default(), 1).expect("ok");
+        let a = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .sharded(spec)
+            .run(&records)
+            .expect("ok");
+        let b = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .run(&records)
+            .expect("ok");
         assert_eq!(a.sorted(), b.sorted());
     }
 
@@ -1951,13 +1502,22 @@ mod tests {
     fn warmup_overlap_lru_estimate_is_within_its_slack() {
         let space = ConfigSpace::new((0, 3), (0, 2), (0, 1)).expect("valid");
         let records = trace(1600);
-        let exact = sweep_trace(&space, &records, lru_options(), 0).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(lru_options())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
         for overlap in [0usize, 64, 400] {
             let spec = ShardSpec {
                 shards: 4,
                 mode: ShardMode::WarmupOverlap { overlap },
             };
-            let est = sweep_trace_sharded(&space, &records, lru_options(), 0, spec).expect("est");
+            let est = SweepRequest::new(&space)
+                .options(lru_options())
+                .threads(0)
+                .sharded(spec)
+                .run(&records)
+                .expect("est");
             let bounds = est.bounds().expect("warmup mode reports bounds");
             assert!(bounds.guaranteed(), "LRU bound is guaranteed");
             for (sets, assoc, block) in space.configs() {
@@ -1981,8 +1541,12 @@ mod tests {
             shards: 4,
             mode: ShardMode::WarmupOverlap { overlap },
         };
-        let est =
-            sweep_trace_sharded(&space, &records, DewOptions::default(), 2, spec).expect("est");
+        let est = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(2)
+            .sharded(spec)
+            .run(&records)
+            .expect("est");
         // 2 block sizes (jobs), 3 boundaries each replaying 100 records.
         assert_eq!(est.trace_traversals(), 2);
         assert_eq!(est.records_simulated(), 2 * (1000 + 3 * 100));
@@ -1999,14 +1563,23 @@ mod tests {
         let space = ConfigSpace::new((0, 3), (0, 2), (0, 2)).expect("valid");
         let records = trace(900);
         for options in [DewOptions::default(), lru_options()] {
-            let exact = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let exact = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run(&records)
+                .expect("sweep");
             let spec = ShardSpec {
                 shards: 3,
                 mode: ShardMode::WarmupOverlap {
                     overlap: records.len(),
                 },
             };
-            let est = sweep_trace_sharded(&space, &records, options, 0, spec).expect("est");
+            let est = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .sharded(spec)
+                .run(&records)
+                .expect("est");
             for (sets, assoc, block) in space.configs() {
                 assert_eq!(
                     est.misses(sets, assoc, block),
@@ -2021,12 +1594,35 @@ mod tests {
     fn sampled_sweep_validates_and_degenerates_to_exact() {
         let space = ConfigSpace::new((0, 2), (0, 1), (0, 1)).expect("valid");
         let records = trace(500);
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 0, 1).is_err());
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 0).is_err());
-        assert!(sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 9).is_err());
-        let full = sweep_trace_sampled(&space, &records, DewOptions::default(), 1, 8, 8)
+        assert!(SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .sampled(0, 1)
+            .run(&records)
+            .is_err());
+        assert!(SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .sampled(8, 0)
+            .run(&records)
+            .is_err());
+        assert!(SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .sampled(8, 9)
+            .run(&records)
+            .is_err());
+        let full = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .sampled(8, 8)
+            .run(&records)
             .expect("identity sampling");
-        let exact = sweep_trace(&space, &records, DewOptions::default(), 1).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
         assert_eq!(full.sorted(), exact.sorted());
         assert!(full.bounds().is_none(), "identity sampling is exact");
     }
@@ -2035,7 +1631,12 @@ mod tests {
     fn sampled_sweep_reports_retained_accesses_and_bounds() {
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
         let records = trace(1000);
-        let est = sweep_trace_sampled(&space, &records, lru_options(), 0, 100, 25).expect("est");
+        let est = SweepRequest::new(&space)
+            .options(lru_options())
+            .threads(0)
+            .sampled(100, 25)
+            .run(&records)
+            .expect("est");
         assert_eq!(est.accesses(), 250, "10 clusters of 25");
         let bounds = est.bounds().expect("sampled mode reports bounds");
         assert!(bounds.guaranteed(), "LRU bound is guaranteed");
@@ -2047,7 +1648,11 @@ mod tests {
             .filter(|(i, _)| i % 100 < 25)
             .map(|(_, r)| *r)
             .collect();
-        let exact = sweep_trace(&space, &sampled, lru_options(), 0).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(lru_options())
+            .threads(0)
+            .run(&sampled)
+            .expect("sweep");
         for (sets, assoc, block) in space.configs() {
             let truth = exact.misses(sets, assoc, block).expect("covered");
             let guess = est.misses(sets, assoc, block).expect("covered");
@@ -2065,9 +1670,16 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1300);
         for options in [DewOptions::default(), lru_options()] {
-            let in_memory = sweep_trace(&space, &records, options, 0).expect("sweep");
-            let streamed =
-                sweep_trace_streamed(&space, &SliceSource(&records), options, 0).expect("stream");
+            let in_memory = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run(&records)
+                .expect("sweep");
+            let streamed = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run_streamed(&SliceSource(&records))
+                .expect("stream");
             assert_eq!(streamed.sorted(), in_memory.sorted());
             assert_eq!(streamed.accesses(), in_memory.accesses());
             assert_eq!(streamed.trace_traversals(), in_memory.trace_traversals());
@@ -2087,7 +1699,10 @@ mod tests {
             ]
             .into_iter())
         };
-        let err = sweep_trace_streamed(&space, &source, DewOptions::default(), 1)
+        let err = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .run_streamed(&source)
             .expect_err("truncation must surface");
         let DewError::TraceRead(msg) = &err else {
             panic!("expected TraceRead, got {err}");
@@ -2102,15 +1717,31 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let plain = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let plain = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run(&records)
+                .expect("sweep");
             let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-            let resilient =
-                sweep_trace_resilient(&space, &records, options, 0, &res).expect("resilient");
+            let resilient = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .resilient(&res)
+                .run(&records)
+                .expect("resilient");
             assert!(!resilient.is_partial());
             assert_eq!(resilient.retries(), 0);
             assert_eq!(resilient.sorted(), plain.sorted());
             assert_eq!(resilient.accesses(), plain.accesses());
-            let sharded = sweep_trace_sharded_resilient(&space, &records, options, 0, 4, &res)
+            let sharded = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .sharded(ShardSpec {
+                    shards: 4,
+                    mode: ShardMode::SnapshotHandoff,
+                })
+                .resilient(&res)
+                .run(&records)
                 .expect("sharded resilient");
             assert_eq!(sharded.sorted(), plain.sorted());
         }
@@ -2121,7 +1752,11 @@ mod tests {
         use dew_trace::TraceError;
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 1)).expect("valid");
         let records = trace(600);
-        let plain = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let plain = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
         let fails = AtomicU64::new(2);
         let source = || {
             let failed = fails
@@ -2136,9 +1771,12 @@ mod tests {
             Ok(records.iter().copied().map(Ok::<Record, TraceError>))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("recovered");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("recovered");
         assert!(!outcome.is_partial());
         assert_eq!(outcome.retries(), 2);
         assert_eq!(outcome.sorted(), plain.sorted());
@@ -2174,9 +1812,12 @@ mod tests {
         let opens = AtomicU64::new(0);
         let source = second_open_truncates(&records, &opens);
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("degraded mode returns partial results");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("degraded mode returns partial results");
         assert!(outcome.is_partial());
         assert_eq!(outcome.retries(), 0, "fatal errors are not retried");
         let failed = outcome.failed_jobs();
@@ -2204,7 +1845,11 @@ mod tests {
         let res = Resilience::new()
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
+        let err = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
             .expect_err("fail-fast aborts");
         let DewError::TraceRead(msg) = &err else {
             panic!("expected TraceRead, got {err}");
@@ -2227,9 +1872,12 @@ mod tests {
             }))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("panic degrades, not aborts");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("panic degrades, not aborts");
         assert!(outcome.is_partial());
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 1);
@@ -2246,12 +1894,20 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1000);
         for options in [DewOptions::default(), lru_options()] {
-            let baseline = sweep_trace(&space, &records, options, 0).expect("sweep");
+            let baseline = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .run(&records)
+                .expect("sweep");
             let store = crate::checkpoint::MemoryCheckpointStore::new();
             let res = Resilience::new()
                 .with_checkpoint(300, &store)
                 .with_sleeper(&crate::resilience::NoSleep);
-            let full = sweep_trace_resilient(&space, &records, options, 0, &res)
+            let full = SweepRequest::new(&space)
+                .options(options)
+                .threads(0)
+                .resilient(&res)
+                .run(&records)
                 .expect("checkpointed run");
             assert_eq!(full.sorted(), baseline.sorted());
             let history = store.history();
@@ -2264,8 +1920,12 @@ mod tests {
                 let res = Resilience::new()
                     .resume_from(&ckpt)
                     .with_sleeper(&crate::resilience::NoSleep);
-                let resumed =
-                    sweep_trace_resilient(&space, &records, options, 0, &res).expect("resumed run");
+                let resumed = SweepRequest::new(&space)
+                    .options(options)
+                    .threads(0)
+                    .resilient(&res)
+                    .run(&records)
+                    .expect("resumed run");
                 assert!(!resumed.is_partial());
                 assert_eq!(resumed.sorted(), baseline.sorted(), "image {idx}");
                 assert_eq!(resumed.accesses(), baseline.accesses());
@@ -2281,7 +1941,12 @@ mod tests {
         let res = Resilience::new()
             .with_checkpoint(100, &store)
             .with_sleeper(&crate::resilience::NoSleep);
-        sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res).expect("sweep");
+        SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .resilient(&res)
+            .run(&records)
+            .expect("sweep");
         let ckpt =
             SweepCheckpoint::from_bytes(&store.latest().expect("saved")).expect("image decodes");
         // Different space → fingerprint mismatch.
@@ -2289,11 +1954,19 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_resilient(&other, &records, DewOptions::default(), 0, &res)
+        let err = SweepRequest::new(&other)
+            .options(DewOptions::default())
+            .threads(0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("fingerprint mismatch");
         assert!(matches!(err, DewError::Checkpoint(_)), "{err}");
         // Different policy → rejected before fingerprints are compared.
-        let err = sweep_trace_resilient(&space, &records, lru_options(), 0, &res)
+        let err = SweepRequest::new(&space)
+            .options(lru_options())
+            .threads(0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("policy mismatch");
         let DewError::Checkpoint(msg) = &err else {
             panic!("expected Checkpoint, got {err}");
@@ -2306,7 +1979,11 @@ mod tests {
         use crate::cancel::CancelToken;
         let space = ConfigSpace::new((0, 3), (2, 4), (0, 1)).expect("valid");
         let records = trace(1000);
-        let baseline = sweep_trace(&space, &records, DewOptions::default(), 0).expect("sweep");
+        let baseline = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(&records)
+            .expect("sweep");
 
         // The source itself trips the token while delivering record 400, so
         // cancellation lands mid-stream deterministically.
@@ -2327,9 +2004,12 @@ mod tests {
             .with_checkpoint(250, &store)
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("cancellation degrades, not errors");
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("cancellation degrades, not errors");
         assert!(outcome.is_partial());
         let failed = outcome.failed_jobs();
         assert_eq!(failed.len(), 3, "all three block-size jobs stopped");
@@ -2353,9 +2033,12 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let resumed =
-            sweep_trace_streamed_resilient(&space, &source, DewOptions::default(), 1, &res)
-                .expect("resumed run");
+        let resumed = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(1)
+            .resilient(&res)
+            .run_streamed(&source)
+            .expect("resumed run");
         assert!(!resumed.is_partial());
         assert_eq!(resumed.sorted(), baseline.sorted());
     }
@@ -2369,7 +2052,11 @@ mod tests {
         let res = Resilience::new()
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome = sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res)
+        let outcome = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .resilient(&res)
+            .run(&records)
             .expect("deadline degrades, not errors");
         assert!(outcome.is_partial());
         assert!(outcome
@@ -2388,7 +2075,11 @@ mod tests {
             .with_cancel(&token)
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = sweep_trace_resilient(&space, &records, DewOptions::default(), 0, &res)
+        let err = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .resilient(&res)
+            .run(&records)
             .expect_err("fail-fast escalates cancellation");
         assert!(matches!(err, DewError::Cancelled(_)), "{err}");
     }

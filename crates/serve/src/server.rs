@@ -14,7 +14,7 @@
 //!                  │ pop()
 //!                  ▼
 //!            worker pool (fixed) ── per-job CancelToken (deadline at admission)
-//!                  │ sweep_trace_streamed_resilient + MemoryCheckpointStore
+//!                  │ SweepRequest::resilient(..).run_streamed + MemoryCheckpointStore
 //!                  ▼
 //!        job table: exactly one terminal state per admitted job
 //!        {completed | deadline_exceeded | cancelled | failed | shed}

@@ -3,13 +3,8 @@
 //! exact agreement — the full shape of the paper's pipeline:
 //! program → trace → single-pass multi-config simulation → verification.
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{sweep_trace, ConfigSpace, DewOptions, DewTree, PassConfig};
+use dew_core::{ConfigSpace, DewOptions, DewTree, PassConfig, SweepRequest};
 use dew_isa::programs::{
     fib_recursive, histogram, matmul, memcpy_words, run_program, vector_sum, A_BASE,
 };
@@ -51,7 +46,11 @@ fn dew_is_exact_on_executed_program_traces() {
     ];
     let space = ConfigSpace::new((0, 7), (2, 4), (0, 2)).expect("valid");
     for (name, trace) in &programs {
-        let sweep = sweep_trace(&space, trace.records(), DewOptions::default(), 0).expect("sweep");
+        let sweep = SweepRequest::new(&space)
+            .options(DewOptions::default())
+            .threads(0)
+            .run(trace.records())
+            .expect("sweep");
         for (sets, assoc, block) in space.configs() {
             let config = CacheConfig::new(sets, assoc, block, Replacement::Fifo).expect("valid");
             let expected = simulate_trace(config, trace.records()).misses();

@@ -10,18 +10,10 @@
 //! under either policy. The streamed driver must match the in-memory one
 //! record for record.
 
-// These suites drive the deprecated `sweep_trace*` forwarders on purpose:
-// they are the compatibility contract, and forwarding keeps them covering
-// the `SweepRequest` implementations underneath.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
-use dew_core::{
-    sweep_trace, sweep_trace_sampled, sweep_trace_sharded, sweep_trace_streamed, ConfigSpace,
-    DewOptions, ShardMode, ShardSpec, TreePolicy,
-};
+use dew_core::{ConfigSpace, DewOptions, ShardMode, ShardSpec, SweepRequest, TreePolicy};
 use dew_trace::{Record, SliceSource};
 
 /// Traces mixing tight locality with scattered far references, as in the
@@ -69,9 +61,17 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let sequential = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let sequential = SweepRequest::new(&space)
+            .options(options)
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
         let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = sweep_trace_sharded(&space, &records, options, threads, spec)
+        let sharded = SweepRequest::new(&space)
+            .options(options)
+            .threads(threads)
+            .sharded(spec)
+            .run(&records)
             .expect("sharded sweep");
 
         prop_assert_eq!(sharded.sorted(), sequential.sorted(),
@@ -103,7 +103,11 @@ proptest! {
             TreePolicy::Slru => Replacement::Slru,
         };
         let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = sweep_trace_sharded(&space, &records, options_for(policy), 0, spec)
+        let sharded = SweepRequest::new(&space)
+            .options(options_for(policy))
+            .threads(0)
+            .sharded(spec)
+            .run(&records)
             .expect("sharded sweep");
         for (sets, assoc, block) in space.configs() {
             let config = CacheConfig::new(sets, assoc, block, replacement).expect("valid");
@@ -125,9 +129,17 @@ proptest! {
         threads in 0usize..4,
     ) {
         let options = DewOptions::lru();
-        let exact = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(options)
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
         let spec = ShardSpec { shards, mode: ShardMode::WarmupOverlap { overlap } };
-        let est = sweep_trace_sharded(&space, &records, options, threads, spec)
+        let est = SweepRequest::new(&space)
+            .options(options)
+            .threads(threads)
+            .sharded(spec)
+            .run(&records)
             .expect("estimated sweep");
         let bounds = est.bounds().expect("warmup mode reports bounds");
         prop_assert!(bounds.guaranteed(), "the LRU cold-start bound is guaranteed");
@@ -158,12 +170,21 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let exact = sweep_trace(&space, &records, options, 1).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(options)
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
         let spec = ShardSpec {
             shards,
             mode: ShardMode::WarmupOverlap { overlap: records.len() },
         };
-        let est = sweep_trace_sharded(&space, &records, options, 0, spec).expect("est");
+        let est = SweepRequest::new(&space)
+            .options(options)
+            .threads(0)
+            .sharded(spec)
+            .run(&records)
+            .expect("est");
         for (sets, assoc, block) in space.configs() {
             prop_assert_eq!(
                 est.misses(sets, assoc, block),
@@ -183,7 +204,11 @@ proptest! {
     ) {
         let sample_len = len_frac.min(period);
         let options = DewOptions::lru();
-        let est = sweep_trace_sampled(&space, &records, options, 0, period, sample_len)
+        let est = SweepRequest::new(&space)
+            .options(options)
+            .threads(0)
+            .sampled(period, sample_len)
+            .run(&records)
             .expect("sampled sweep");
         let sampled: Vec<Record> = records
             .iter()
@@ -192,7 +217,11 @@ proptest! {
             .map(|(_, r)| *r)
             .collect();
         prop_assert_eq!(est.accesses(), sampled.len() as u64);
-        let exact = sweep_trace(&space, &sampled, options, 1).expect("sweep");
+        let exact = SweepRequest::new(&space)
+            .options(options)
+            .threads(1)
+            .run(&sampled)
+            .expect("sweep");
         match est.bounds() {
             None => {
                 // Identity sampling degenerates to the exact sweep.
@@ -224,8 +253,15 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let in_memory = sweep_trace(&space, &records, options, 1).expect("sweep");
-        let streamed = sweep_trace_streamed(&space, &SliceSource(&records), options, threads)
+        let in_memory = SweepRequest::new(&space)
+            .options(options)
+            .threads(1)
+            .run(&records)
+            .expect("sweep");
+        let streamed = SweepRequest::new(&space)
+            .options(options)
+            .threads(threads)
+            .run_streamed(&SliceSource(&records))
             .expect("streamed sweep");
         prop_assert_eq!(streamed.sorted(), in_memory.sorted(), "policy={}", policy);
         prop_assert_eq!(streamed.accesses(), in_memory.accesses());
