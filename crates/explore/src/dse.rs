@@ -37,7 +37,7 @@ use dew_core::{ConfigSpace, DewError, ShardSpec, SweepOutcome, SweepRequest, Tre
 use dew_trace::Record;
 
 use crate::energy::EnergyModel;
-use crate::explore::{evaluate_sweep, Evaluation};
+use crate::explore::{evaluate_sweep, non_dominated, Evaluation};
 
 /// How [`explore_trace`] extracts the Pareto frontier. See the module docs
 /// for the soundness argument; both modes produce the identical frontier.
@@ -484,13 +484,6 @@ pub fn score_sweeps(
         }
     }
 
-    let pruned_dominated = match mode {
-        ParetoMode::Exhaustive => 0,
-        ParetoMode::Pruned => prune_by_assoc_monotonicity(&mut points),
-    };
-    mark_frontier(&mut points);
-
-    // Stable report order: policy in evaluation order, then geometry.
     let policy_rank = |p: TreePolicy| {
         exploration
             .policies
@@ -498,6 +491,16 @@ pub fn score_sweeps(
             .position(|&q| q == p)
             .unwrap_or(usize::MAX)
     };
+    let pruned_dominated = match mode {
+        ParetoMode::Exhaustive => 0,
+        ParetoMode::Pruned => prune_by_assoc_monotonicity(&mut points, policy_rank),
+    };
+    let keep = non_dominated(&points, ExplorationPoint::dominates);
+    for (p, on_frontier) in points.iter_mut().zip(keep) {
+        p.on_frontier = on_frontier;
+    }
+
+    // Stable report order: policy in evaluation order, then geometry.
     points.sort_by_key(|p| {
         (
             policy_rank(p.policy),
@@ -526,12 +529,15 @@ pub fn score_sweeps(
 /// points were removed. Only *strictly* dominated points are dropped, so
 /// equal-merit duplicates survive exactly as they do in the exhaustive
 /// scan.
-fn prune_by_assoc_monotonicity(points: &mut Vec<ExplorationPoint>) -> u64 {
+fn prune_by_assoc_monotonicity(
+    points: &mut Vec<ExplorationPoint>,
+    policy_rank: impl Fn(TreePolicy) -> usize,
+) -> u64 {
     // Group columns by sorting: (policy, sets, block) together, ascending
     // associativity within.
     points.sort_by_key(|p| {
         (
-            p.policy == TreePolicy::Lru,
+            policy_rank(p.policy),
             p.evaluation.geometry.sets,
             p.evaluation.geometry.block_bytes,
             p.evaluation.geometry.assoc,
@@ -569,16 +575,6 @@ fn prune_by_assoc_monotonicity(points: &mut Vec<ExplorationPoint>) -> u64 {
     let removed = (before - kept.len()) as u64;
     *points = kept;
     removed
-}
-
-/// Marks the Pareto-optimal points: a point survives unless another point
-/// dominates it ([`ExplorationPoint::dominates`]); ties on all three
-/// objectives keep both, matching [`crate::pareto_front`]'s semantics.
-fn mark_frontier(points: &mut [ExplorationPoint]) {
-    for i in 0..points.len() {
-        let p = points[i];
-        points[i].on_frontier = !points.iter().any(|q| q.dominates(&p));
-    }
 }
 
 #[cfg(test)]

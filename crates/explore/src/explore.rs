@@ -95,22 +95,32 @@ pub fn evaluate_sweep(sweep: &SweepOutcome, model: &EnergyModel) -> Vec<Evaluati
     evals
 }
 
+/// The Pareto filter every frontier in this crate uses: `keep[i]` is
+/// `true` unless some item `q` satisfies `dominates(q, items[i])`.
+/// `dominates` must be strict (at least as good everywhere, better
+/// somewhere), so items of equal merit never knock each other out.
+pub(crate) fn non_dominated<T>(items: &[T], dominates: impl Fn(&T, &T) -> bool) -> Vec<bool> {
+    items
+        .iter()
+        .map(|p| !items.iter().any(|q| dominates(q, p)))
+        .collect()
+}
+
 /// The Pareto-optimal subset minimising `(energy, cycles)`.
 ///
 /// A configuration survives unless some other configuration is at least as
 /// good on both objectives and strictly better on one.
 #[must_use]
 pub fn pareto_front(evals: &[Evaluation]) -> Vec<Evaluation> {
-    let mut front: Vec<Evaluation> = Vec::new();
-    for &e in evals {
-        let dominated = evals.iter().any(|o| {
-            (o.energy_nj < e.energy_nj && o.cycles <= e.cycles)
-                || (o.energy_nj <= e.energy_nj && o.cycles < e.cycles)
-        });
-        if !dominated {
-            front.push(e);
-        }
-    }
+    let keep = non_dominated(evals, |o, e| {
+        (o.energy_nj < e.energy_nj && o.cycles <= e.cycles)
+            || (o.energy_nj <= e.energy_nj && o.cycles < e.cycles)
+    });
+    let mut front: Vec<Evaluation> = evals
+        .iter()
+        .zip(keep)
+        .filter_map(|(&e, on_front)| on_front.then_some(e))
+        .collect();
     front.sort_by(|a, b| {
         a.energy_nj
             .partial_cmp(&b.energy_nj)

@@ -1,8 +1,10 @@
 //! Property-based guarantees of the design-space exploration engine: the
 //! monotonicity-pruned Pareto frontier must be identical to the exhaustive
 //! one for arbitrary traces, spaces, policy mixes and budgets, the
-//! bookkeeping must add up, and the reported `trace_traversals` must be
-//! truthful (one per block size per policy — the fused sweep schedule).
+//! bookkeeping must add up, the prefilter must prune each policy's
+//! columns exactly as it does when that policy is explored alone, and the
+//! reported `trace_traversals` must be truthful (one per block size per
+//! policy — the fused sweep schedule).
 
 use proptest::prelude::*;
 
@@ -113,6 +115,35 @@ proptest! {
                 "{} flag disagrees with the exhaustive frontier", p
             );
         }
+    }
+
+    #[test]
+    fn multi_policy_pruning_is_the_sum_of_single_policy_pruning(
+        records in trace_strategy(),
+        space in space_strategy(),
+        mask in 1usize..16,
+        budget in prop_oneof![Just(None), (256u64..16_384).prop_map(Some)],
+    ) {
+        let policies: Vec<TreePolicy> = TreePolicy::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, p)| p)
+            .collect();
+        let pruned = |policies: &[TreePolicy]| {
+            let exploration = ExplorationSpace::new(space)
+                .with_policies(policies)
+                .with_budget(budget);
+            explore_trace(&exploration, &records, &EnergyModel::default(), ParetoMode::Pruned, 1)
+                .expect("pruned explore")
+                .pruned_dominated()
+        };
+        let alone: u64 = policies.iter().map(|&p| pruned(&[p])).sum();
+        prop_assert_eq!(
+            pruned(&policies), alone,
+            "policies {:?} prune differently together than alone (space {})",
+            policies, space
+        );
     }
 
     #[test]
