@@ -894,6 +894,10 @@ impl LruTreeSimulator {
         }
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
         let (assoc_lo_bits, assoc_hi_bits) = (cur.u32()?, cur.u32()?);
+        cur.expect_lanes(
+            (min_set_bits, max_set_bits),
+            crate::snapshot::pow2_span((assoc_hi_bits, assoc_hi_bits)),
+        )?;
         let flags = cur.u8()?;
         let opts = LruTreeOptions {
             depth_zero_stop: flags & 1 != 0,

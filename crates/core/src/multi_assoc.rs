@@ -1351,6 +1351,10 @@ impl MultiAssocTree {
         }
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
         let (assoc_lo_bits, assoc_hi_bits) = (cur.u32()?, cur.u32()?);
+        cur.expect_lanes(
+            (min_set_bits, max_set_bits),
+            crate::snapshot::pow2_span((assoc_lo_bits.max(1), assoc_hi_bits)),
+        )?;
         let flags = cur.u8()?;
         let opts = DewOptions {
             mra_stop: flags & 1 != 0,

@@ -139,6 +139,37 @@ impl<'a> Cursor<'a> {
         let b = self.bytes(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
+
+    /// Fails unless the buffer still holds the lane state a header's
+    /// geometry implies: every node of a forest over the set-count levels
+    /// `set_bits` serializes at least an 8-byte MRA tag and an 8-byte tag
+    /// per way, `ways` ways a node. A decoder calls this before it builds
+    /// the arena the header describes, so a short buffer cannot make it
+    /// allocate more than a constant factor of its own length.
+    pub(crate) fn expect_lanes(
+        &self,
+        set_bits: (u32, u32),
+        ways: u128,
+    ) -> Result<(), SnapshotError> {
+        let need = pow2_span(set_bits).saturating_mul(8 * ways.saturating_add(1));
+        if need > self.remaining() as u128 {
+            return Err(SnapshotError::Corrupt(
+                "geometry implies more state than the snapshot holds",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// `Σ 2^b` for `b` in `lo..=hi` (0 for an inverted range): the node count
+/// of a forest over those set-count levels, or the ways of lanes over those
+/// associativities. Exponents are clamped, so a hostile header saturates
+/// instead of overflowing.
+pub(crate) fn pow2_span((lo, hi): (u32, u32)) -> u128 {
+    if lo > hi {
+        return 0;
+    }
+    (2u128 << hi.min(100)) - (1u128 << lo.min(100))
 }
 
 /// Little-endian append helpers for the writer side.

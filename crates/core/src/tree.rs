@@ -817,6 +817,7 @@ impl DewTree {
             (cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?);
         let pass = PassConfig::new(block_bits, min_set_bits, max_set_bits, assoc)
             .map_err(|_| SnapshotError::Corrupt("invalid pass geometry"))?;
+        cur.expect_lanes((min_set_bits, max_set_bits), u128::from(assoc))?;
         let flags = cur.u8()?;
         let opts = DewOptions {
             mra_stop: flags & 1 != 0,

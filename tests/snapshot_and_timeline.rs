@@ -3,9 +3,37 @@
 //! timelines must expose the phase structure of the Mediabench surrogates.
 
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use dew_core::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
+use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::snapshot::SnapshotError;
-use dew_core::{DewOptions, DewTree, MissTimeline, MultiAssocTree, PassConfig};
+use dew_core::{
+    sweep_fingerprint, ConfigSpace, DewError, DewOptions, DewTree, MissTimeline, MultiAssocTree,
+    PassConfig, Resilience, SweepCheckpoint, SweepRequest, TreePolicy, CKPT_MAGIC, CKPT_VERSION,
+};
+use dew_trace::Record;
 use dew_workloads::mediabench::App;
+
+/// The first `header_len` bytes of a real snapshot with both set-count
+/// fields (bytes 9..17 in every format) rewritten to declare `2^26` sets:
+/// a header promising gigabytes of lane state and carrying none of it.
+fn oversized_header(mut snapshot: Vec<u8>, header_len: usize) -> Vec<u8> {
+    snapshot.truncate(header_len);
+    snapshot[9..13].copy_from_slice(&26u32.to_le_bytes());
+    snapshot[13..17].copy_from_slice(&26u32.to_le_bytes());
+    snapshot
+}
+
+fn oversized_plru_header() -> Vec<u8> {
+    let plru = PlruTreeSimulator::with_instrumentation(
+        2,
+        (0, 3),
+        (0, 2),
+        PlruTreeOptions::default(),
+        false,
+    )
+    .expect("valid");
+    oversized_header(plru.to_snapshot(), 26)
+}
 
 #[test]
 fn snapshot_survives_disk_and_resumes_exactly() {
@@ -161,6 +189,63 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
     let mut padded = fifo_bytes.clone();
     padded.push(0);
     assert!(MultiAssocTree::from_snapshot(&padded).is_err());
+}
+
+#[test]
+fn oversized_headers_are_rejected_before_the_arena_is_built() {
+    let corrupt = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Corrupt(_)));
+    let plru = oversized_plru_header();
+    assert_eq!(plru.len(), 26);
+    assert!(corrupt(PlruTreeSimulator::from_snapshot(&plru).map(drop)));
+
+    let fifo =
+        MultiAssocTree::with_instrumentation(2, (0, 3), (0, 2), DewOptions::default(), false)
+            .expect("valid");
+    let fifo = oversized_header(fifo.to_snapshot(), 26);
+    assert!(corrupt(MultiAssocTree::from_snapshot(&fifo).map(drop)));
+    let lru =
+        LruTreeSimulator::with_instrumentation(2, (0, 3), (0, 2), LruTreeOptions::default(), false)
+            .expect("valid");
+    let lru = oversized_header(lru.to_snapshot(), 26);
+    assert!(corrupt(LruTreeSimulator::from_snapshot(&lru).map(drop)));
+    let slru = SlruTreeSimulator::with_instrumentation(2, (0, 3), (0, 2), false).expect("valid");
+    let slru = oversized_header(slru.to_snapshot(), 26);
+    assert!(corrupt(SlruTreeSimulator::from_snapshot(&slru).map(drop)));
+    let tree = DewTree::new(
+        PassConfig::new(2, 0, 3, 4).expect("valid"),
+        DewOptions::default(),
+    )
+    .expect("sound");
+    let tree = oversized_header(tree.to_snapshot(), 22);
+    assert!(corrupt(DewTree::from_snapshot(&tree).map(drop)));
+}
+
+#[test]
+fn resume_rejects_a_checkpoint_carrying_an_oversized_kernel_header() {
+    let space = ConfigSpace::new((0, 3), (2, 2), (0, 2)).expect("valid");
+    let options = DewOptions::for_policy(TreePolicy::Plru);
+    let kernel = oversized_plru_header();
+    // A DEWC image whose one job (4-byte blocks) carries the hostile kernel.
+    let mut image = CKPT_MAGIC.to_vec();
+    image.push(CKPT_VERSION);
+    image.push(2); // policy byte: tree-PLRU
+    image.extend_from_slice(&sweep_fingerprint(&space, options).to_le_bytes());
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&2u32.to_le_bytes());
+    image.extend_from_slice(&0u64.to_le_bytes());
+    image.push(0);
+    image.extend_from_slice(&(kernel.len() as u32).to_le_bytes());
+    image.extend_from_slice(&kernel);
+    let ckpt = SweepCheckpoint::from_bytes(&image).expect("kernels are carried opaquely");
+
+    let records: Vec<Record> = (0..64u64).map(|i| Record::read(i * 4)).collect();
+    let res = Resilience::new().resume_from(&ckpt);
+    let err = SweepRequest::new(&space)
+        .options(options)
+        .resilient(&res)
+        .run(&records)
+        .expect_err("the hostile kernel must not be restored");
+    assert!(matches!(err, DewError::Checkpoint(_)), "{err}");
 }
 
 #[test]
