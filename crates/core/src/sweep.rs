@@ -1197,6 +1197,11 @@ mod tests {
     use crate::SweepRequest;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 
+    /// A sweep of `space` under `options` on `threads` workers.
+    fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+        SweepRequest::new(space).options(options).threads(threads)
+    }
+
     fn trace(n: usize) -> Vec<Record> {
         let mut x = 0x9E37_79B9u64;
         (0..n)
@@ -1218,9 +1223,7 @@ mod tests {
     fn sweep_covers_every_config_exactly() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1200);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(2)
+        let outcome = request(&space, DewOptions::default(), 2)
             .run(&records)
             .expect("sweep");
         assert_eq!(outcome.config_count() as u64, space.config_count());
@@ -1245,9 +1248,7 @@ mod tests {
         // block size cost exactly one decode and one trace traversal.
         let records = trace(900);
         let single_block = ConfigSpace::new((0, 6), (2, 2), (0, 3)).expect("valid");
-        let outcome = SweepRequest::new(&single_block)
-            .options(DewOptions::default())
-            .threads(0)
+        let outcome = request(&single_block, DewOptions::default(), 0)
             .instrumented(true)
             .run(&records)
             .expect("sweep");
@@ -1262,9 +1263,7 @@ mod tests {
         assert!(evals.iter().all(|&e| e > 0 && e == evals[0]));
 
         let multi_block = ConfigSpace::new((0, 4), (0, 2), (0, 3)).expect("valid");
-        let outcome = SweepRequest::new(&multi_block)
-            .options(DewOptions::default())
-            .threads(0)
+        let outcome = request(&multi_block, DewOptions::default(), 0)
             .instrumented(true)
             .run(&records)
             .expect("sweep");
@@ -1275,9 +1274,7 @@ mod tests {
     fn fused_matches_manual_per_pass_trees_bit_identically() {
         let records = trace(1500);
         let space = ConfigSpace::new((0, 5), (1, 3), (0, 3)).expect("valid");
-        let fused = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let fused = request(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
         for pass in space.passes() {
@@ -1303,9 +1300,7 @@ mod tests {
     fn lru_sweep_fuses_to_one_traversal_per_block_size() {
         let records = trace(400);
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 2)).expect("valid");
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(2)
+        let outcome = request(&space, DewOptions::lru(), 2)
             .run(&records)
             .expect("sweep");
         assert_eq!(
@@ -1328,14 +1323,10 @@ mod tests {
     fn instrumented_lru_sweep_shares_the_walk_and_matches_fast() {
         let records = trace(700);
         let space = ConfigSpace::new((0, 4), (2, 2), (0, 3)).expect("valid");
-        let fast = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(0)
+        let fast = request(&space, DewOptions::lru(), 0)
             .run(&records)
             .expect("sweep");
-        let slow = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(0)
+        let slow = request(&space, DewOptions::lru(), 0)
             .instrumented(true)
             .run(&records)
             .expect("sweep");
@@ -1361,14 +1352,10 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let space = ConfigSpace::new((0, 5), (0, 3), (0, 3)).expect("valid");
         let records = trace(800);
-        let seq = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let seq = request(&space, DewOptions::default(), 1)
             .run(&records)
             .expect("sweep");
-        let par = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let par = request(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
         let mut a = seq.sorted();
@@ -1383,14 +1370,10 @@ mod tests {
     fn instrumented_sweep_matches_fast_sweep() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(900);
-        let fast = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let fast = request(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
-        let slow = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let slow = request(&space, DewOptions::default(), 0)
             .instrumented(true)
             .run(&records)
             .expect("sweep");
@@ -1411,20 +1394,14 @@ mod tests {
             policy: crate::options::TreePolicy::Lru,
             ..DewOptions::default()
         };
-        assert!(SweepRequest::new(&space)
-            .options(opts)
-            .threads(1)
-            .run(&[])
-            .is_err());
+        assert!(request(&space, opts, 1).run(&[]).is_err());
     }
 
     #[test]
     fn counters_reported_per_pass() {
         let space = ConfigSpace::new((0, 3), (1, 2), (0, 1)).expect("valid");
         let records = trace(300);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let outcome = request(&space, DewOptions::default(), 1)
             .instrumented(true)
             .run(&records)
             .expect("sweep");
@@ -1452,19 +1429,13 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let sequential = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
-                .run(&records)
-                .expect("sweep");
+            let sequential = request(&space, options, 0).run(&records).expect("sweep");
             for shards in [2, 3, 5, 7] {
                 let spec = ShardSpec {
                     shards,
                     mode: ShardMode::SnapshotHandoff,
                 };
-                let sharded = SweepRequest::new(&space)
-                    .options(options)
-                    .threads(0)
+                let sharded = request(&space, options, 0)
                     .sharded(spec)
                     .run(&records)
                     .expect("sharded");
@@ -1484,15 +1455,11 @@ mod tests {
             shards: 1,
             mode: ShardMode::SnapshotHandoff,
         };
-        let a = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let a = request(&space, DewOptions::default(), 1)
             .sharded(spec)
             .run(&records)
             .expect("ok");
-        let b = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let b = request(&space, DewOptions::default(), 1)
             .run(&records)
             .expect("ok");
         assert_eq!(a.sorted(), b.sorted());
@@ -1502,9 +1469,7 @@ mod tests {
     fn warmup_overlap_lru_estimate_is_within_its_slack() {
         let space = ConfigSpace::new((0, 3), (0, 2), (0, 1)).expect("valid");
         let records = trace(1600);
-        let exact = SweepRequest::new(&space)
-            .options(lru_options())
-            .threads(0)
+        let exact = request(&space, lru_options(), 0)
             .run(&records)
             .expect("sweep");
         for overlap in [0usize, 64, 400] {
@@ -1512,9 +1477,7 @@ mod tests {
                 shards: 4,
                 mode: ShardMode::WarmupOverlap { overlap },
             };
-            let est = SweepRequest::new(&space)
-                .options(lru_options())
-                .threads(0)
+            let est = request(&space, lru_options(), 0)
                 .sharded(spec)
                 .run(&records)
                 .expect("est");
@@ -1541,9 +1504,7 @@ mod tests {
             shards: 4,
             mode: ShardMode::WarmupOverlap { overlap },
         };
-        let est = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(2)
+        let est = request(&space, DewOptions::default(), 2)
             .sharded(spec)
             .run(&records)
             .expect("est");
@@ -1563,20 +1524,14 @@ mod tests {
         let space = ConfigSpace::new((0, 3), (0, 2), (0, 2)).expect("valid");
         let records = trace(900);
         for options in [DewOptions::default(), lru_options()] {
-            let exact = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
-                .run(&records)
-                .expect("sweep");
+            let exact = request(&space, options, 0).run(&records).expect("sweep");
             let spec = ShardSpec {
                 shards: 3,
                 mode: ShardMode::WarmupOverlap {
                     overlap: records.len(),
                 },
             };
-            let est = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
+            let est = request(&space, options, 0)
                 .sharded(spec)
                 .run(&records)
                 .expect("est");
@@ -1594,33 +1549,23 @@ mod tests {
     fn sampled_sweep_validates_and_degenerates_to_exact() {
         let space = ConfigSpace::new((0, 2), (0, 1), (0, 1)).expect("valid");
         let records = trace(500);
-        assert!(SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        assert!(request(&space, DewOptions::default(), 1)
             .sampled(0, 1)
             .run(&records)
             .is_err());
-        assert!(SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        assert!(request(&space, DewOptions::default(), 1)
             .sampled(8, 0)
             .run(&records)
             .is_err());
-        assert!(SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        assert!(request(&space, DewOptions::default(), 1)
             .sampled(8, 9)
             .run(&records)
             .is_err());
-        let full = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let full = request(&space, DewOptions::default(), 1)
             .sampled(8, 8)
             .run(&records)
             .expect("identity sampling");
-        let exact = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let exact = request(&space, DewOptions::default(), 1)
             .run(&records)
             .expect("sweep");
         assert_eq!(full.sorted(), exact.sorted());
@@ -1631,9 +1576,7 @@ mod tests {
     fn sampled_sweep_reports_retained_accesses_and_bounds() {
         let space = ConfigSpace::new((0, 3), (0, 1), (0, 1)).expect("valid");
         let records = trace(1000);
-        let est = SweepRequest::new(&space)
-            .options(lru_options())
-            .threads(0)
+        let est = request(&space, lru_options(), 0)
             .sampled(100, 25)
             .run(&records)
             .expect("est");
@@ -1648,9 +1591,7 @@ mod tests {
             .filter(|(i, _)| i % 100 < 25)
             .map(|(_, r)| *r)
             .collect();
-        let exact = SweepRequest::new(&space)
-            .options(lru_options())
-            .threads(0)
+        let exact = request(&space, lru_options(), 0)
             .run(&sampled)
             .expect("sweep");
         for (sets, assoc, block) in space.configs() {
@@ -1670,14 +1611,8 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1300);
         for options in [DewOptions::default(), lru_options()] {
-            let in_memory = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
-                .run(&records)
-                .expect("sweep");
-            let streamed = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
+            let in_memory = request(&space, options, 0).run(&records).expect("sweep");
+            let streamed = request(&space, options, 0)
                 .run_streamed(&SliceSource(&records))
                 .expect("stream");
             assert_eq!(streamed.sorted(), in_memory.sorted());
@@ -1699,9 +1634,7 @@ mod tests {
             ]
             .into_iter())
         };
-        let err = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let err = request(&space, DewOptions::default(), 1)
             .run_streamed(&source)
             .expect_err("truncation must surface");
         let DewError::TraceRead(msg) = &err else {
@@ -1717,15 +1650,9 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1100);
         for options in [DewOptions::default(), lru_options()] {
-            let plain = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
-                .run(&records)
-                .expect("sweep");
+            let plain = request(&space, options, 0).run(&records).expect("sweep");
             let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-            let resilient = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
+            let resilient = request(&space, options, 0)
                 .resilient(&res)
                 .run(&records)
                 .expect("resilient");
@@ -1733,9 +1660,7 @@ mod tests {
             assert_eq!(resilient.retries(), 0);
             assert_eq!(resilient.sorted(), plain.sorted());
             assert_eq!(resilient.accesses(), plain.accesses());
-            let sharded = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
+            let sharded = request(&space, options, 0)
                 .sharded(ShardSpec {
                     shards: 4,
                     mode: ShardMode::SnapshotHandoff,
@@ -1752,9 +1677,7 @@ mod tests {
         use dew_trace::TraceError;
         let space = ConfigSpace::new((0, 3), (2, 3), (0, 1)).expect("valid");
         let records = trace(600);
-        let plain = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let plain = request(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
         let fails = AtomicU64::new(2);
@@ -1771,9 +1694,7 @@ mod tests {
             Ok(records.iter().copied().map(Ok::<Record, TraceError>))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let outcome = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect("recovered");
@@ -1812,9 +1733,7 @@ mod tests {
         let opens = AtomicU64::new(0);
         let source = second_open_truncates(&records, &opens);
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let outcome = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect("degraded mode returns partial results");
@@ -1845,9 +1764,7 @@ mod tests {
         let res = Resilience::new()
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let err = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect_err("fail-fast aborts");
@@ -1872,9 +1789,7 @@ mod tests {
             }))
         };
         let res = Resilience::new().with_sleeper(&crate::resilience::NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let outcome = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect("panic degrades, not aborts");
@@ -1894,18 +1809,12 @@ mod tests {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1000);
         for options in [DewOptions::default(), lru_options()] {
-            let baseline = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
-                .run(&records)
-                .expect("sweep");
+            let baseline = request(&space, options, 0).run(&records).expect("sweep");
             let store = crate::checkpoint::MemoryCheckpointStore::new();
             let res = Resilience::new()
                 .with_checkpoint(300, &store)
                 .with_sleeper(&crate::resilience::NoSleep);
-            let full = SweepRequest::new(&space)
-                .options(options)
-                .threads(0)
+            let full = request(&space, options, 0)
                 .resilient(&res)
                 .run(&records)
                 .expect("checkpointed run");
@@ -1920,9 +1829,7 @@ mod tests {
                 let res = Resilience::new()
                     .resume_from(&ckpt)
                     .with_sleeper(&crate::resilience::NoSleep);
-                let resumed = SweepRequest::new(&space)
-                    .options(options)
-                    .threads(0)
+                let resumed = request(&space, options, 0)
                     .resilient(&res)
                     .run(&records)
                     .expect("resumed run");
@@ -1941,9 +1848,7 @@ mod tests {
         let res = Resilience::new()
             .with_checkpoint(100, &store)
             .with_sleeper(&crate::resilience::NoSleep);
-        SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        request(&space, DewOptions::default(), 0)
             .resilient(&res)
             .run(&records)
             .expect("sweep");
@@ -1954,17 +1859,13 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = SweepRequest::new(&other)
-            .options(DewOptions::default())
-            .threads(0)
+        let err = request(&other, DewOptions::default(), 0)
             .resilient(&res)
             .run(&records)
             .expect_err("fingerprint mismatch");
         assert!(matches!(err, DewError::Checkpoint(_)), "{err}");
         // Different policy → rejected before fingerprints are compared.
-        let err = SweepRequest::new(&space)
-            .options(lru_options())
-            .threads(0)
+        let err = request(&space, lru_options(), 0)
             .resilient(&res)
             .run(&records)
             .expect_err("policy mismatch");
@@ -1979,9 +1880,7 @@ mod tests {
         use crate::cancel::CancelToken;
         let space = ConfigSpace::new((0, 3), (2, 4), (0, 1)).expect("valid");
         let records = trace(1000);
-        let baseline = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let baseline = request(&space, DewOptions::default(), 0)
             .run(&records)
             .expect("sweep");
 
@@ -2004,9 +1903,7 @@ mod tests {
             .with_checkpoint(250, &store)
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let outcome = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect("cancellation degrades, not errors");
@@ -2033,9 +1930,7 @@ mod tests {
         let res = Resilience::new()
             .resume_from(&ckpt)
             .with_sleeper(&crate::resilience::NoSleep);
-        let resumed = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
+        let resumed = request(&space, DewOptions::default(), 1)
             .resilient(&res)
             .run_streamed(&source)
             .expect("resumed run");
@@ -2052,9 +1947,7 @@ mod tests {
         let res = Resilience::new()
             .with_cancel(&token)
             .with_sleeper(&crate::resilience::NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let outcome = request(&space, DewOptions::default(), 0)
             .resilient(&res)
             .run(&records)
             .expect("deadline degrades, not errors");
@@ -2075,9 +1968,7 @@ mod tests {
             .with_cancel(&token)
             .fail_fast(true)
             .with_sleeper(&crate::resilience::NoSleep);
-        let err = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let err = request(&space, DewOptions::default(), 0)
             .resilient(&res)
             .run(&records)
             .expect_err("fail-fast escalates cancellation");

@@ -11,6 +11,11 @@ use dew_isa::programs::{
 use dew_isa::Stop;
 use dew_trace::Trace;
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 fn executed_trace(source: &str, inputs: &[(u64, u32)], fuel: u64) -> Trace {
     let (_, out) = run_program(source, inputs, fuel).expect("program assembles");
     assert_eq!(out.stop, Stop::Halted, "program must run to completion");
@@ -46,9 +51,7 @@ fn dew_is_exact_on_executed_program_traces() {
     ];
     let space = ConfigSpace::new((0, 7), (2, 4), (0, 2)).expect("valid");
     for (name, trace) in &programs {
-        let sweep = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(0)
+        let sweep = request(&space, DewOptions::default(), 0)
             .run(trace.records())
             .expect("sweep");
         for (sets, assoc, block) in space.configs() {

@@ -10,10 +10,13 @@ use dew_core::{ConfigSpace, DewOptions, SweepRequest};
 use dew_trace::Trace;
 use dew_workloads::mediabench::App;
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 fn exact_match_over_space(trace: &Trace, space: &ConfigSpace) {
-    let sweep = SweepRequest::new(space)
-        .options(DewOptions::default())
-        .threads(0)
+    let sweep = request(space, DewOptions::default(), 0)
         .run(trace.records())
         .expect("sweep runs");
     assert_eq!(sweep.config_count() as u64, space.config_count());
@@ -57,9 +60,7 @@ fn dew_matches_reference_for_every_app_spot_check() {
 fn sweep_totals_are_internally_consistent() {
     let trace = App::Mpeg2Decode.generate(20_000, 5);
     let space = ConfigSpace::new((0, 10), (0, 4), (2, 2)).expect("valid");
-    let sweep = SweepRequest::new(&space)
-        .options(DewOptions::default())
-        .threads(0)
+    let sweep = request(&space, DewOptions::default(), 0)
         .instrumented(true)
         .run(trace.records())
         .expect("sweep");

@@ -18,6 +18,11 @@ use dew_core::{
 };
 use dew_trace::Record;
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
     prop::collection::vec(
         prop_oneof![
@@ -49,9 +54,7 @@ fn checkpoint_image(space: &ConfigSpace, records: &[Record], options: DewOptions
         .with_retry(RetryPolicy::none())
         .with_sleeper(&NoSleep)
         .with_checkpoint(64, &store);
-    SweepRequest::new(space)
-        .options(options)
-        .threads(1)
+    request(space, options, 1)
         .resilient(&res)
         .run(records)
         .expect("checkpointed sweep");
@@ -77,17 +80,9 @@ proptest! {
 
         // Control: the same identity accepts the image and reproduces the
         // plain sweep exactly.
-        let baseline = SweepRequest::new(&space_a)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let baseline = request(&space_a, options, 1).run(&records).expect("sweep");
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let resumed = SweepRequest::new(&space_a)
-            .options(options)
-            .threads(1)
-            .resilient(&res)
-            .run(&records)
+        let resumed = request(&space_a, options, 1).resilient(&res).run(&records)
             .expect("own sweep accepts its checkpoint");
         prop_assert_eq!(resumed.sorted(), baseline.sorted());
 
@@ -95,11 +90,7 @@ proptest! {
         // clean `DewError::Checkpoint` naming the mismatch.
         if space_b != space_a {
             let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-            let err = SweepRequest::new(&space_b)
-                .options(options)
-                .threads(1)
-                .resilient(&res)
-                .run(&records)
+            let err = request(&space_b, options, 1).resilient(&res).run(&records)
                 .expect_err("foreign space must be rejected");
             match err {
                 DewError::Checkpoint(msg) => prop_assert!(
@@ -114,11 +105,7 @@ proptest! {
         // are even compared — the kernel snapshots would not decode).
         let flipped = DewOptions::for_policy(TreePolicy::ALL[(policy_idx + 1) % 4]);
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let err = SweepRequest::new(&space_a)
-            .options(flipped)
-            .threads(1)
-            .resilient(&res)
-            .run(&records)
+        let err = request(&space_a, flipped, 1).resilient(&res).run(&records)
             .expect_err("policy flip must be rejected");
         prop_assert!(matches!(err, DewError::Checkpoint(_)), "got {err:?}");
     }
@@ -135,11 +122,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = DewOptions::for_policy(TreePolicy::ALL[policy_idx]);
-        let baseline = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let baseline = request(&space, options, 1).run(&records).expect("sweep");
 
         let store = MemoryCheckpointStore::new();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
@@ -149,22 +132,14 @@ proptest! {
             .with_sleeper(&NoSleep)
             .with_checkpoint(every, &store)
             .with_cancel(&token);
-        let cut = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .resilient(&res)
-            .run(&records)
+        let cut = request(&space, options, 1).resilient(&res).run(&records)
             .expect("a deadline cut is a partial outcome, not an error");
         prop_assert!(cut.is_partial(), "an expired deadline admits no progress");
 
         let image = store.latest().expect("the cut flushed a final image");
         let ckpt = SweepCheckpoint::from_bytes(&image).expect("image decodes");
         let res = Resilience::new().with_sleeper(&NoSleep).resume_from(&ckpt);
-        let resumed = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .resilient(&res)
-            .run(&records)
+        let resumed = request(&space, options, 1).resilient(&res).run(&records)
             .expect("resume after the deadline cut");
         prop_assert!(!resumed.is_partial());
         prop_assert_eq!(resumed.sorted(), baseline.sorted(),

@@ -11,6 +11,11 @@ use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::{ConfigSpace, DewOptions, DewTree, MultiAssocTree, SweepRequest, TreePolicy};
 use dew_trace::Record;
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 /// Traces mixing tight locality with scattered far references, as in the
 /// exactness properties.
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
@@ -48,11 +53,7 @@ proptest! {
         space in space_strategy(),
         threads in 0usize..4,
     ) {
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(threads)
-            .run(&records)
-            .expect("sweep");
+        let outcome = request(&space, DewOptions::default(), threads).run(&records).expect("sweep");
 
         // One traversal (and one decode) per block size, never per pass.
         let (blo, bhi) = space.block_bits();
@@ -90,25 +91,13 @@ proptest! {
         records in trace_strategy(),
         space in space_strategy(),
     ) {
-        let base = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let base = request(&space, DewOptions::default(), 1).run(&records).expect("sweep");
         for threads in [0usize, 2, 3] {
-            let par = SweepRequest::new(&space)
-                .options(DewOptions::default())
-                .threads(threads)
-                .run(&records)
-                .expect("sweep");
+            let par = request(&space, DewOptions::default(), threads).run(&records).expect("sweep");
             prop_assert_eq!(base.sorted(), par.sorted(), "threads={}", threads);
             prop_assert_eq!(base.trace_traversals(), par.trace_traversals());
         }
-        let slow = SweepRequest::new(&space)
-            .options(DewOptions::default())
-            .threads(2)
-            .instrumented(true)
-            .run(&records)
+        let slow = request(&space, DewOptions::default(), 2).instrumented(true).run(&records)
             .expect("sweep");
         prop_assert_eq!(base.sorted(), slow.sorted(), "instrumentation changed results");
         prop_assert_eq!(base.trace_traversals(), slow.trace_traversals());
@@ -174,9 +163,7 @@ fn assoc_1_to_8_sweep_is_one_traversal() {
         .map(|i| Record::read((i.wrapping_mul(2654435761) >> 7) % (1 << 13)))
         .collect();
     let space = ConfigSpace::new((0, 8), (2, 2), (0, 3)).expect("valid");
-    let outcome = SweepRequest::new(&space)
-        .options(DewOptions::default())
-        .threads(0)
+    let outcome = request(&space, DewOptions::default(), 0)
         .instrumented(true)
         .run(&records)
         .expect("sweep");

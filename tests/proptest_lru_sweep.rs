@@ -13,6 +13,11 @@ use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
 use dew_core::{ConfigSpace, DewOptions, DewTree, SweepRequest};
 use dew_trace::Record;
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 /// Traces mixing tight locality with scattered far references, as in the
 /// exactness properties.
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
@@ -50,11 +55,7 @@ proptest! {
         space in space_strategy(),
         threads in 0usize..4,
     ) {
-        let outcome = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(threads)
-            .run(&records)
-            .expect("sweep");
+        let outcome = request(&space, DewOptions::lru(), threads).run(&records).expect("sweep");
 
         // One traversal (and one decode) per block size, never per pass —
         // the stack property makes LRU fuse exactly like FIFO.
@@ -93,25 +94,13 @@ proptest! {
         records in trace_strategy(),
         space in space_strategy(),
     ) {
-        let base = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let base = request(&space, DewOptions::lru(), 1).run(&records).expect("sweep");
         for threads in [0usize, 2, 3] {
-            let par = SweepRequest::new(&space)
-                .options(DewOptions::lru())
-                .threads(threads)
-                .run(&records)
-                .expect("sweep");
+            let par = request(&space, DewOptions::lru(), threads).run(&records).expect("sweep");
             prop_assert_eq!(base.sorted(), par.sorted(), "threads={}", threads);
             prop_assert_eq!(base.trace_traversals(), par.trace_traversals());
         }
-        let slow = SweepRequest::new(&space)
-            .options(DewOptions::lru())
-            .threads(2)
-            .instrumented(true)
-            .run(&records)
+        let slow = request(&space, DewOptions::lru(), 2).instrumented(true).run(&records)
             .expect("sweep");
         prop_assert_eq!(base.sorted(), slow.sorted(), "instrumentation changed results");
         prop_assert_eq!(base.trace_traversals(), slow.trace_traversals());
@@ -183,9 +172,7 @@ fn assoc_1_to_8_lru_sweep_is_one_traversal() {
         .map(|i| Record::read((i.wrapping_mul(2654435761) >> 7) % (1 << 13)))
         .collect();
     let space = ConfigSpace::new((0, 8), (2, 2), (0, 3)).expect("valid");
-    let outcome = SweepRequest::new(&space)
-        .options(DewOptions::lru())
-        .threads(0)
+    let outcome = request(&space, DewOptions::lru(), 0)
         .instrumented(true)
         .run(&records)
         .expect("sweep");

@@ -20,6 +20,11 @@ use dew_core::{
 };
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, SliceSource};
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 /// Traces mixing tight locality with scattered far references, as in the
 /// other sweep properties.
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
@@ -61,15 +66,11 @@ fn run_driver(
     res: &Resilience<'_>,
 ) -> SweepOutcome {
     match driver {
-        0 => SweepRequest::new(space)
-            .options(options)
-            .threads(1)
+        0 => request(space, options, 1)
             .resilient(res)
             .run(records)
             .expect("resilient sweep"),
-        1 => SweepRequest::new(space)
-            .options(options)
-            .threads(1)
+        1 => request(space, options, 1)
             .sharded(ShardSpec {
                 shards: 3,
                 mode: ShardMode::SnapshotHandoff,
@@ -77,9 +78,7 @@ fn run_driver(
             .resilient(res)
             .run(records)
             .expect("sharded resilient sweep"),
-        _ => SweepRequest::new(space)
-            .options(options)
-            .threads(1)
+        _ => request(space, options, 1)
             .resilient(res)
             .run_streamed(&SliceSource(records))
             .expect("streamed resilient sweep"),
@@ -99,11 +98,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = options_for(policy_idx);
-        let baseline = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let baseline = request(&space, options, 1).run(&records).expect("sweep");
 
         // Checkpointed run: its own table must already match the plain
         // sweep (resilience never perturbs results).
@@ -144,11 +139,7 @@ proptest! {
         policy_idx in 0usize..4,
     ) {
         let options = options_for(policy_idx);
-        let baseline = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let baseline = request(&space, options, 1).run(&records).expect("sweep");
         // A failed first open plus up to 5 seeded transient read faults:
         // all within the retry budget, so recovery must be total.
         let plan = FaultPlan {
@@ -165,11 +156,7 @@ proptest! {
             max_delay: Duration::ZERO,
         };
         let res = Resilience::new().with_retry(retry).with_sleeper(&NoSleep);
-        let outcome = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .resilient(&res)
-            .run_streamed(&faulty)
+        let outcome = request(&space, options, 1).resilient(&res).run_streamed(&faulty)
             .expect("transient faults must be absorbed");
         prop_assert!(!outcome.is_partial());
         prop_assert!(outcome.retries() >= 1, "the failed open alone forces a retry");

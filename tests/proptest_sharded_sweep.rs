@@ -16,6 +16,11 @@ use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
 use dew_core::{ConfigSpace, DewOptions, ShardMode, ShardSpec, SweepRequest, TreePolicy};
 use dew_trace::{Record, SliceSource};
 
+/// A sweep of `space` under `options` on `threads` workers.
+fn request(space: &ConfigSpace, options: DewOptions, threads: usize) -> SweepRequest<'_> {
+    SweepRequest::new(space).options(options).threads(threads)
+}
+
 /// Traces mixing tight locality with scattered far references, as in the
 /// fused-sweep properties.
 fn trace_strategy() -> impl Strategy<Value = Vec<Record>> {
@@ -61,17 +66,9 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let sequential = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let sequential = request(&space, options, 1).run(&records).expect("sweep");
         let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = SweepRequest::new(&space)
-            .options(options)
-            .threads(threads)
-            .sharded(spec)
-            .run(&records)
+        let sharded = request(&space, options, threads).sharded(spec).run(&records)
             .expect("sharded sweep");
 
         prop_assert_eq!(sharded.sorted(), sequential.sorted(),
@@ -103,11 +100,7 @@ proptest! {
             TreePolicy::Slru => Replacement::Slru,
         };
         let spec = ShardSpec { shards, mode: ShardMode::SnapshotHandoff };
-        let sharded = SweepRequest::new(&space)
-            .options(options_for(policy))
-            .threads(0)
-            .sharded(spec)
-            .run(&records)
+        let sharded = request(&space, options_for(policy), 0).sharded(spec).run(&records)
             .expect("sharded sweep");
         for (sets, assoc, block) in space.configs() {
             let config = CacheConfig::new(sets, assoc, block, replacement).expect("valid");
@@ -129,17 +122,9 @@ proptest! {
         threads in 0usize..4,
     ) {
         let options = DewOptions::lru();
-        let exact = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let exact = request(&space, options, 1).run(&records).expect("sweep");
         let spec = ShardSpec { shards, mode: ShardMode::WarmupOverlap { overlap } };
-        let est = SweepRequest::new(&space)
-            .options(options)
-            .threads(threads)
-            .sharded(spec)
-            .run(&records)
+        let est = request(&space, options, threads).sharded(spec).run(&records)
             .expect("estimated sweep");
         let bounds = est.bounds().expect("warmup mode reports bounds");
         prop_assert!(bounds.guaranteed(), "the LRU cold-start bound is guaranteed");
@@ -170,21 +155,12 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let exact = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
+        let exact = request(&space, options, 1).run(&records).expect("sweep");
         let spec = ShardSpec {
             shards,
             mode: ShardMode::WarmupOverlap { overlap: records.len() },
         };
-        let est = SweepRequest::new(&space)
-            .options(options)
-            .threads(0)
-            .sharded(spec)
-            .run(&records)
-            .expect("est");
+        let est = request(&space, options, 0).sharded(spec).run(&records).expect("est");
         for (sets, assoc, block) in space.configs() {
             prop_assert_eq!(
                 est.misses(sets, assoc, block),
@@ -204,11 +180,7 @@ proptest! {
     ) {
         let sample_len = len_frac.min(period);
         let options = DewOptions::lru();
-        let est = SweepRequest::new(&space)
-            .options(options)
-            .threads(0)
-            .sampled(period, sample_len)
-            .run(&records)
+        let est = request(&space, options, 0).sampled(period, sample_len).run(&records)
             .expect("sampled sweep");
         let sampled: Vec<Record> = records
             .iter()
@@ -217,11 +189,7 @@ proptest! {
             .map(|(_, r)| *r)
             .collect();
         prop_assert_eq!(est.accesses(), sampled.len() as u64);
-        let exact = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&sampled)
-            .expect("sweep");
+        let exact = request(&space, options, 1).run(&sampled).expect("sweep");
         match est.bounds() {
             None => {
                 // Identity sampling degenerates to the exact sweep.
@@ -253,15 +221,8 @@ proptest! {
     ) {
         let policy = TreePolicy::ALL[policy_idx];
         let options = options_for(policy);
-        let in_memory = SweepRequest::new(&space)
-            .options(options)
-            .threads(1)
-            .run(&records)
-            .expect("sweep");
-        let streamed = SweepRequest::new(&space)
-            .options(options)
-            .threads(threads)
-            .run_streamed(&SliceSource(&records))
+        let in_memory = request(&space, options, 1).run(&records).expect("sweep");
+        let streamed = request(&space, options, threads).run_streamed(&SliceSource(&records))
             .expect("streamed sweep");
         prop_assert_eq!(streamed.sorted(), in_memory.sorted(), "policy={}", policy);
         prop_assert_eq!(streamed.accesses(), in_memory.accesses());
