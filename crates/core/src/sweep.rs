@@ -370,6 +370,27 @@ fn slack_bounds(
     ShardBounds::new(slack, policy == TreePolicy::Lru)
 }
 
+/// The plain in-memory sweep of `records` on the core under the exact
+/// preset: what the estimating plans fall back to, and what sampling runs
+/// its spliced clusters through.
+fn exact_sweep(
+    space: &ConfigSpace,
+    records: &[Record],
+    options: DewOptions,
+    threads: usize,
+) -> Result<SweepOutcome, DewError> {
+    let exact = Resilience::exact();
+    run_resilient(
+        space,
+        &SliceSource(records),
+        &[],
+        options,
+        threads,
+        false,
+        &exact,
+    )
+}
+
 /// Per-`(job, shard)` output of the warmup-overlap scheduler: the measured
 /// region's deltas for each of the job's passes, plus the shard's
 /// first-touch count.
@@ -392,16 +413,7 @@ pub(crate) fn warmup_overlap(
     overlap: usize,
 ) -> Result<SweepOutcome, DewError> {
     if shards <= 1 || records.is_empty() {
-        let exact = Resilience::exact();
-        return run_resilient(
-            space,
-            &SliceSource(records),
-            &[],
-            options,
-            threads,
-            false,
-            &exact,
-        );
+        return exact_sweep(space, records, options, threads);
     }
     validate_request(space, options)?;
     let passes = space.passes();
@@ -535,17 +547,8 @@ pub(crate) fn sampled(
             "sampling needs 0 < sample_len <= period",
         ));
     }
-    let exact = Resilience::exact();
     if sample_len == period {
-        return run_resilient(
-            space,
-            &SliceSource(records),
-            &[],
-            options,
-            threads,
-            false,
-            &exact,
-        );
+        return exact_sweep(space, records, options, threads);
     }
     let sampled: Vec<Record> = records
         .iter()
@@ -553,15 +556,7 @@ pub(crate) fn sampled(
         .filter(|(i, _)| i % period < sample_len)
         .map(|(_, r)| *r)
         .collect();
-    let outcome = run_resilient(
-        space,
-        &SliceSource(&sampled),
-        &[],
-        options,
-        threads,
-        false,
-        &exact,
-    )?;
+    let outcome = exact_sweep(space, &sampled, options, threads)?;
 
     // Each cluster is a contiguous original-trace window; cluster 0 starts
     // on exact state, every later one cold.
