@@ -199,7 +199,7 @@ impl<'a> Resilience<'a> {
         }
     }
 
-    /// Attaches a cancellation token. The resilient drivers poll it at
+    /// Attaches a cancellation token. The sweep core polls it at
     /// chunk boundaries; once it fires, every in-flight job saves a final
     /// checkpoint (when checkpointing is on) and the sweep returns a
     /// degraded partial outcome whose failed jobs carry

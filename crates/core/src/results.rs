@@ -469,8 +469,8 @@ impl SweepOutcome {
         self.bounds.as_ref()
     }
 
-    /// Fused jobs a resilient sweep could not complete (empty for the
-    /// non-resilient drivers and for clean resilient runs).
+    /// Fused jobs a resilient sweep could not complete (empty for
+    /// non-resilient plans and for clean resilient runs).
     #[must_use]
     pub fn failed_jobs(&self) -> &[JobFailure] {
         &self.failed

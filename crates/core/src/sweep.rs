@@ -1800,6 +1800,21 @@ mod tests {
     }
 
     #[test]
+    fn plain_plans_report_worker_panics_as_errors() {
+        let space = ConfigSpace::new((0, 2), (2, 3), (0, 1)).expect("valid");
+        let source = || {
+            Ok((0..100u64).map(|i| {
+                assert!(i < 50, "injected kernel panic");
+                Ok::<Record, dew_trace::TraceError>(Record::read(i * 4))
+            }))
+        };
+        let err = request(&space, DewOptions::default(), 1)
+            .run_streamed(&source)
+            .expect_err("a panicking job fails the sweep");
+        assert!(matches!(err, DewError::WorkerPanic(_)), "{err}");
+    }
+
+    #[test]
     fn checkpoint_resume_is_bit_identical() {
         let space = ConfigSpace::new((0, 4), (0, 2), (0, 2)).expect("valid");
         let records = trace(1000);
