@@ -350,9 +350,14 @@ fn main() {
     record_variant("fused_plru", secs);
 
     let slru_reference = {
-        let mut sim =
-            SlruTreeSimulator::instrumented(BLOCK_BITS, SET_BITS.0, SET_BITS.1, FUSED_MAX_ASSOC)
-                .expect("valid");
+        let mut sim = SlruTreeSimulator::instrumented(
+            BLOCK_BITS,
+            SET_BITS.0,
+            SET_BITS.1,
+            FUSED_MAX_ASSOC,
+            (),
+        )
+        .expect("valid");
         let blocks = decode_blocks(records, BLOCK_BITS);
         sim.run_blocks(&blocks);
         sim.results()
@@ -362,9 +367,14 @@ fn main() {
         let blocks = decode_blocks(records, BLOCK_BITS);
         for assoc in PER_ASSOC_PASSES {
             let bits = assoc.trailing_zeros();
-            let mut sim =
-                SlruTreeSimulator::with_instrumentation(BLOCK_BITS, SET_BITS, (bits, bits), false)
-                    .expect("valid");
+            let mut sim = SlruTreeSimulator::with_instrumentation(
+                BLOCK_BITS,
+                SET_BITS,
+                (bits, bits),
+                (),
+                false,
+            )
+            .expect("valid");
             sim.run_blocks(&blocks);
             let r = sim.results();
             for set_bits in SET_BITS.0..=SET_BITS.1 {
@@ -384,6 +394,7 @@ fn main() {
             BLOCK_BITS,
             SET_BITS,
             (0, FUSED_MAX_ASSOC.trailing_zeros()),
+            (),
             false,
         )
         .expect("valid");

@@ -15,20 +15,22 @@
 //!   (`DEWM` FIFO, `DEWL` LRU, `DEWP` tree-PLRU, `DEWU` SLRU) and reject a
 //!   sibling's buffer as a [`SnapshotError::PolicyMismatch`].
 //!
-//! [`PolicyKernel`] is that contract as a trait; [`FusedKernel`] is the
-//! concrete dispatcher the drivers hold (enum, not `dyn`, so the hot
-//! `run_blocks` call is a direct jump). Registering a policy means: a
-//! [`TreePolicy`] variant, a simulator implementing [`PolicyKernel`], a
-//! build arm in [`FusedKernel::build`], and a decode arm in
-//! [`FusedKernel::from_snapshot`].
+//! [`PolicyKernel`] is that contract as a trait, implemented once for the
+//! generic [`Arena`] skeleton; [`FusedKernel`] is the concrete dispatcher
+//! the drivers hold (enum, not `dyn`, so the hot `run_blocks` call is a
+//! direct jump). Registering a policy means one [`LanePolicy`] impl (its
+//! lanes, update rule, counters and snapshot state), one row in the
+//! [`crate::arena::REGISTRY`] of snapshot magics, and the matching
+//! [`FusedKernel`] variant.
 
 use std::fmt;
 
+use crate::arena::{Arena, LanePolicy};
 use crate::counters::DewCounters;
-use crate::lru_tree::{LruTreeOptions, LruTreeSimulator};
+use crate::lru_tree::LruTreeSimulator;
 use crate::multi_assoc::MultiAssocTree;
 use crate::options::{DewOptions, TreePolicy};
-use crate::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
+use crate::plru_tree::PlruTreeSimulator;
 use crate::results::PassResults;
 use crate::simd::KernelBackend;
 use crate::slru_tree::SlruTreeSimulator;
@@ -77,111 +79,30 @@ pub trait PolicyKernel {
     fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError>;
 }
 
-impl PolicyKernel for MultiAssocTree {
+impl<P: LanePolicy> PolicyKernel for Arena<P> {
     fn policy(&self) -> TreePolicy {
-        TreePolicy::Fifo
+        P::POLICY
     }
     fn run_blocks(&mut self, blocks: &[u64]) {
-        MultiAssocTree::run_blocks(self, blocks);
+        Arena::run_blocks(self, blocks);
     }
     fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        MultiAssocTree::pass_results(self, assoc)
+        Arena::pass_results(self, assoc)
     }
     fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        MultiAssocTree::pass_counters(self, assoc)
+        Arena::pass_counters(self, assoc)
     }
     fn to_snapshot(&self) -> Vec<u8> {
-        MultiAssocTree::to_snapshot(self)
+        Arena::to_snapshot(self)
     }
     fn footprint_bytes(&self) -> usize {
-        MultiAssocTree::footprint_bytes(self)
+        Arena::footprint_bytes(self)
     }
     fn scan_backend(&self) -> KernelBackend {
-        MultiAssocTree::scan_backend(self)
+        Arena::scan_backend(self)
     }
     fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        MultiAssocTree::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for LruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Lru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        LruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        LruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        LruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        LruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        LruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        LruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        LruTreeSimulator::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for PlruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Plru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        PlruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        PlruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        PlruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        PlruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        PlruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        PlruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        PlruTreeSimulator::force_scan_backend(self, backend)
-    }
-}
-
-impl PolicyKernel for SlruTreeSimulator {
-    fn policy(&self) -> TreePolicy {
-        TreePolicy::Slru
-    }
-    fn run_blocks(&mut self, blocks: &[u64]) {
-        SlruTreeSimulator::run_blocks(self, blocks);
-    }
-    fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        SlruTreeSimulator::pass_results(self, assoc)
-    }
-    fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        SlruTreeSimulator::pass_counters(self, assoc)
-    }
-    fn to_snapshot(&self) -> Vec<u8> {
-        SlruTreeSimulator::to_snapshot(self)
-    }
-    fn footprint_bytes(&self) -> usize {
-        SlruTreeSimulator::footprint_bytes(self)
-    }
-    fn scan_backend(&self) -> KernelBackend {
-        SlruTreeSimulator::scan_backend(self)
-    }
-    fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        SlruTreeSimulator::force_scan_backend(self, backend)
+        Arena::force_scan_backend(self, backend)
     }
 }
 
@@ -202,15 +123,29 @@ pub enum FusedKernel {
     Slru(Box<SlruTreeSimulator>),
 }
 
+/// Evaluates `$body` with `$k` bound to the boxed arena of whichever
+/// policy `$kernel` holds.
+macro_rules! dispatch {
+    ($kernel:expr, $k:ident => $body:expr) => {
+        match $kernel {
+            FusedKernel::Fifo($k) => $body,
+            FusedKernel::Lru($k) => $body,
+            FusedKernel::Plru($k) => $body,
+            FusedKernel::Slru($k) => $body,
+        }
+    };
+}
+
 impl FusedKernel {
     /// Builds the kernel for `options.policy` covering set counts
     /// `2^set_bits.0 ..= 2^set_bits.1` and associativities
     /// `2^assoc_bits.0 ..= 2^assoc_bits.1` at one block size.
     ///
-    /// The flags of `options` map onto each policy's own toggles: FIFO
-    /// consumes them all, LRU and tree-PLRU take the CRCB-style duplicate
-    /// elision, SLRU takes none (elision is unsound for it and
-    /// [`DewOptions::validate`] rejects the combination upstream).
+    /// The flags of `options` map onto each policy's own toggles
+    /// ([`LanePolicy::options`]): FIFO consumes them all, LRU and tree-PLRU
+    /// take the CRCB-style duplicate elision, SLRU takes none (elision is
+    /// unsound for it and [`DewOptions::validate`] rejects the combination
+    /// upstream).
     ///
     /// # Errors
     ///
@@ -225,32 +160,12 @@ impl FusedKernel {
         instrument: bool,
     ) -> Result<FusedKernel, DewError> {
         options.validate()?;
+        let (b, s, a, i) = (block_bits, set_bits, assoc_bits, instrument);
         Ok(match options.policy {
-            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(MultiAssocTree::with_instrumentation(
-                block_bits, set_bits, assoc_bits, options, instrument,
-            )?)),
-            TreePolicy::Lru => {
-                let lru_opts = LruTreeOptions {
-                    depth_zero_stop: true,
-                    duplicate_elision: options.dup_elision,
-                };
-                FusedKernel::Lru(Box::new(LruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, lru_opts, instrument,
-                )?))
-            }
-            TreePolicy::Plru => {
-                let plru_opts = PlruTreeOptions {
-                    duplicate_elision: options.dup_elision,
-                };
-                FusedKernel::Plru(Box::new(PlruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, plru_opts, instrument,
-                )?))
-            }
-            TreePolicy::Slru => {
-                FusedKernel::Slru(Box::new(SlruTreeSimulator::with_instrumentation(
-                    block_bits, set_bits, assoc_bits, instrument,
-                )?))
-            }
+            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::build(b, s, a, options, i)?)),
+            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::build(b, s, a, options, i)?)),
+            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::build(b, s, a, options, i)?)),
+            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::build(b, s, a, options, i)?)),
         })
     }
 
@@ -258,30 +173,16 @@ impl FusedKernel {
     ///
     /// # Errors
     ///
-    /// As the policy's own `from_snapshot` — in particular
+    /// As [`Arena::from_snapshot`] — in particular
     /// [`SnapshotError::PolicyMismatch`] when `bytes` carries a sibling
     /// kernel's magic.
     pub fn from_snapshot(policy: TreePolicy, bytes: &[u8]) -> Result<FusedKernel, SnapshotError> {
         Ok(match policy {
-            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(MultiAssocTree::from_snapshot(bytes)?)),
-            TreePolicy::Lru => FusedKernel::Lru(Box::new(LruTreeSimulator::from_snapshot(bytes)?)),
-            TreePolicy::Plru => {
-                FusedKernel::Plru(Box::new(PlruTreeSimulator::from_snapshot(bytes)?))
-            }
-            TreePolicy::Slru => {
-                FusedKernel::Slru(Box::new(SlruTreeSimulator::from_snapshot(bytes)?))
-            }
+            TreePolicy::Fifo => FusedKernel::Fifo(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Lru => FusedKernel::Lru(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Plru => FusedKernel::Plru(Box::new(Arena::from_snapshot(bytes)?)),
+            TreePolicy::Slru => FusedKernel::Slru(Box::new(Arena::from_snapshot(bytes)?)),
         })
-    }
-
-    /// The trait object view (read-only).
-    fn as_kernel(&self) -> &dyn PolicyKernel {
-        match self {
-            FusedKernel::Fifo(k) => k.as_ref(),
-            FusedKernel::Lru(k) => k.as_ref(),
-            FusedKernel::Plru(k) => k.as_ref(),
-            FusedKernel::Slru(k) => k.as_ref(),
-        }
     }
 
     /// Fans out one pass's results and counters; the sweep drivers call
@@ -292,10 +193,9 @@ impl FusedKernel {
     /// Panics when `assoc` is not covered by this kernel — drivers only ask
     /// for associativities of the job that built the kernel.
     pub(crate) fn fan_out(&self, assoc: u32) -> (PassResults, DewCounters) {
-        let k = self.as_kernel();
         (
-            k.pass_results(assoc).expect("job covers its passes"),
-            k.pass_counters(assoc).expect("job covers its passes"),
+            self.pass_results(assoc).expect("job covers its passes"),
+            self.pass_counters(assoc).expect("job covers its passes"),
         )
     }
 }
@@ -311,38 +211,28 @@ impl fmt::Debug for FusedKernel {
 
 impl PolicyKernel for FusedKernel {
     fn policy(&self) -> TreePolicy {
-        self.as_kernel().policy()
+        dispatch!(self, k => k.policy())
     }
     fn run_blocks(&mut self, blocks: &[u64]) {
-        match self {
-            FusedKernel::Fifo(k) => k.run_blocks(blocks),
-            FusedKernel::Lru(k) => k.run_blocks(blocks),
-            FusedKernel::Plru(k) => k.run_blocks(blocks),
-            FusedKernel::Slru(k) => k.run_blocks(blocks),
-        }
+        dispatch!(self, k => k.run_blocks(blocks));
     }
     fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        self.as_kernel().pass_results(assoc)
+        dispatch!(self, k => k.pass_results(assoc))
     }
     fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        self.as_kernel().pass_counters(assoc)
+        dispatch!(self, k => k.pass_counters(assoc))
     }
     fn to_snapshot(&self) -> Vec<u8> {
-        self.as_kernel().to_snapshot()
+        dispatch!(self, k => k.to_snapshot())
     }
     fn footprint_bytes(&self) -> usize {
-        self.as_kernel().footprint_bytes()
+        dispatch!(self, k => k.footprint_bytes())
     }
     fn scan_backend(&self) -> KernelBackend {
-        self.as_kernel().scan_backend()
+        dispatch!(self, k => k.scan_backend())
     }
     fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        match self {
-            FusedKernel::Fifo(k) => k.force_scan_backend(backend),
-            FusedKernel::Lru(k) => k.force_scan_backend(backend),
-            FusedKernel::Plru(k) => k.force_scan_backend(backend),
-            FusedKernel::Slru(k) => k.force_scan_backend(backend),
-        }
+        dispatch!(self, k => k.force_scan_backend(backend))
     }
 }
 

@@ -91,12 +91,14 @@
 //! ```
 
 // The crate is unsafe-free except for the `simd` feature's `core::arch`
-// intrinsics, which live in `simd.rs` and the kernels' `#[target_feature]`
-// batch drivers behind scoped `#[allow(unsafe_code)]` with SAFETY comments.
+// intrinsics, which live in `simd.rs` and the one `#[target_feature]` batch
+// root in `arena.rs`, behind scoped `#[allow(unsafe_code)]` with SAFETY
+// comments.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 #![warn(missing_docs)]
 
+pub mod arena;
 mod cancel;
 mod checkpoint;
 mod counters;

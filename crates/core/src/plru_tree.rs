@@ -50,20 +50,18 @@
 
 use std::fmt;
 
-use dew_trace::Record;
-
+use crate::arena::{put_u32s, put_u64s, read_u32s, read_u64s, within, Arena, LanePolicy};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::results::{AllAssocResults, LevelResult, PassResults};
-use crate::simd::{
-    lane_scan, prefetch_read, KernelBackend, LaneScan, ScalarScan, TagLane, TagScan, PF_DIST,
-};
-use crate::space::{DewError, PassConfig};
+use crate::options::{DewOptions, TreePolicy};
+use crate::simd::{lane_scan, LaneScan, TagScan};
+use crate::snapshot::{Cursor, SnapshotError};
+use crate::space::DewError;
 
-/// Snapshot magic of the arena tree-PLRU simulator.
-pub(crate) const SNAP_MAGIC: [u8; 4] = *b"DEWP";
-/// Snapshot format version of the arena tree-PLRU simulator.
-const SNAP_VERSION: u8 = 1;
+/// Exact single-pass tree-PLRU simulator for all set counts in a range and
+/// all power-of-two associativities in a range: the [`Arena`] with
+/// tree-PLRU lanes. See the module docs.
+pub type PlruTreeSimulator = Arena<PlruLanes>;
 
 /// Widest PLRU lane supported: the direction bits of one lane live in a
 /// single `u64` heap (matching `dew_cachesim`'s `MAX_PLRU_ASSOC`).
@@ -120,60 +118,24 @@ impl fmt::Display for PlruTreeCounters {
     }
 }
 
-/// The arena: flat lanes over all forest levels concatenated. Node `i`'s
-/// lane `k` (associativity `lanes[k]`) occupies
-/// `tags[i * stride + lane_off[k] ..][.. lanes[k]]`; scalar per-`(node,
-/// lane)` state lives in dense `num_lanes`-strided vectors.
+/// The tree-PLRU lanes: every associativity above 1 owns a way-tag region
+/// of the arena's tag lane (valid tags always a prefix: ways fill in
+/// physical order), plus the per-`(node, lane)` direction bits and MRA way
+/// pointer kept here.
 #[derive(Debug, Clone)]
-struct PlruArena {
-    /// Dense per-node MRA tags: the direct-mapped contents and the shared
-    /// hit short-circuit, as in every fused kernel.
-    mra: Vec<u64>,
-    /// Way-tag regions, cache-line aligned ([`TagLane`]), invalid ways
-    /// holding the sentinel. Ways fill in physical order, so valid tags are
-    /// always a prefix of each lane.
-    tags: TagLane,
+pub struct PlruLanes {
+    opts: PlruTreeOptions,
     /// Direction bits per `(node, lane)`, heap-indexed with the root at
     /// bit 1 (the reference layout of `dew_cachesim`'s set).
     bits: Vec<u64>,
     /// Way index of the MRA block per `(node, lane)`: resident blocks never
     /// move between ways, so an MRA match re-touches this way directly.
     mra_way: Vec<u32>,
-    /// Node-index base per level plus a final total.
-    node_off: Vec<usize>,
-    /// `(1 << set_bits) - 1` per level.
-    set_mask: Vec<u64>,
-    /// Misses per `(level, lane)`, level-major.
-    misses: Vec<u64>,
-    /// Direct-mapped misses per level (from the shared MRA comparisons).
-    dm_misses: Vec<u64>,
-}
-
-impl PlruArena {
-    fn new(pass: &PassConfig, stride: usize, num_lanes: usize) -> Self {
-        let mut node_off = Vec::with_capacity(pass.num_levels() as usize + 1);
-        let mut set_mask = Vec::with_capacity(pass.num_levels() as usize);
-        let mut total = 0usize;
-        for set_bits in pass.min_set_bits()..=pass.max_set_bits() {
-            node_off.push(total);
-            set_mask.push((1u64 << set_bits) - 1);
-            total += 1usize << set_bits;
-        }
-        node_off.push(total);
-        let num_levels = pass.num_levels() as usize;
-        PlruArena {
-            mra: vec![INVALID_TAG; total],
-            tags: TagLane::filled(total * stride, INVALID_TAG),
-            bits: vec![0; total * num_lanes],
-            mra_way: vec![0; total * num_lanes],
-            node_off,
-            set_mask,
-            // `max(1)`: an assoc-1-only forest still iterates its levels
-            // through `chunks_exact_mut`, which needs a nonzero stride.
-            misses: vec![0; num_levels * num_lanes.max(1)],
-            dm_misses: vec![0; num_levels],
-        }
-    }
+    counters: PlruTreeCounters,
+    /// Search comparisons per lane; instrumented only.
+    lane_comparisons: Vec<u64>,
+    /// Block of the previous request, for the CRCB-style elision.
+    prev_block: u64,
 }
 
 /// Follows the direction bits of one lane from the root to the pseudo-LRU
@@ -206,605 +168,239 @@ fn plru_touch(bits: &mut u64, way: usize, assoc: usize) {
     }
 }
 
-/// Exact single-pass tree-PLRU simulator for all set counts in a range and
-/// all power-of-two associativities in a range. See the module docs.
-#[derive(Debug, Clone)]
-pub struct PlruTreeSimulator {
-    /// Geometry; `assoc()` reports the widest simulated associativity.
-    pass: PassConfig,
-    opts: PlruTreeOptions,
-    /// Every reported associativity, ascending (includes 1 when the range
-    /// starts there; associativity-1 results come from the MRA lane).
-    assoc_list: Vec<u32>,
-    /// Simulated lane associativities (the reported list above 1).
-    lanes: Vec<u32>,
-    /// Per-lane tag offset inside a node's region.
-    lane_off: Vec<usize>,
-    /// Tag-region entries per node (sum of the lane widths).
-    stride: usize,
-    arena: PlruArena,
-    counters: PlruTreeCounters,
-    /// Search comparisons per lane; instrumented only.
-    lane_comparisons: Vec<u64>,
-    /// Block of the previous request, for the CRCB-style elision.
-    prev_block: u64,
-    /// Whether the kernel maintains the work counters.
-    instrument: bool,
-    /// The tag-scan backend batched scans run on, fixed at construction
-    /// ([`KernelBackend::active`]).
-    backend: KernelBackend,
-}
+impl LanePolicy for PlruLanes {
+    const POLICY: TreePolicy = TreePolicy::Plru;
+    type Options = PlruTreeOptions;
+    type Counters = PlruTreeCounters;
 
-impl PlruTreeSimulator {
-    /// Builds a simulator for set counts `2^min_set_bits..=2^max_set_bits`,
-    /// block size `2^block_bits` bytes, and associativities
-    /// `1, 2, 4, …, max_assoc`, using the fast (uninstrumented) kernel.
-    ///
-    /// # Errors
-    ///
-    /// As [`PassConfig::new`], plus [`DewError::BadAssoc`] for a
-    /// non-power-of-two `max_assoc` or one above [`MAX_PLRU_ASSOC`].
-    pub fn new(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: PlruTreeOptions,
-    ) -> Result<Self, DewError> {
-        if max_assoc == 0 || !max_assoc.is_power_of_two() {
-            return Err(DewError::BadAssoc(max_assoc));
+    fn options(options: DewOptions) -> PlruTreeOptions {
+        PlruTreeOptions {
+            duplicate_elision: options.dup_elision,
         }
-        PlruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (0, max_assoc.trailing_zeros()),
-            opts,
-            false,
-        )
     }
 
-    /// As [`PlruTreeSimulator::new`], but with the work counters live.
-    ///
-    /// # Errors
-    ///
-    /// As [`PlruTreeSimulator::new`].
-    pub fn instrumented(
-        block_bits: u32,
-        min_set_bits: u32,
-        max_set_bits: u32,
-        max_assoc: u32,
-        opts: PlruTreeOptions,
-    ) -> Result<Self, DewError> {
-        if max_assoc == 0 || !max_assoc.is_power_of_two() {
-            return Err(DewError::BadAssoc(max_assoc));
-        }
-        PlruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (0, max_assoc.trailing_zeros()),
-            opts,
-            true,
-        )
-    }
-
-    /// Full-control constructor: inclusive `log2` ranges for the set counts
-    /// and the reported associativities, and a runtime kernel selection.
-    /// This is the entry point the fused sweep uses for its per-block-size
-    /// PLRU passes.
-    ///
-    /// # Errors
-    ///
-    /// As [`PassConfig::new`], plus [`DewError::EmptySetRange`] when the
-    /// associativity range is inverted and [`DewError::BadAssoc`] when the
-    /// widest lane exceeds [`MAX_PLRU_ASSOC`].
-    pub fn with_instrumentation(
-        block_bits: u32,
-        set_bits: (u32, u32),
-        assoc_bits: (u32, u32),
-        opts: PlruTreeOptions,
-        instrument: bool,
-    ) -> Result<Self, DewError> {
-        if assoc_bits.0 > assoc_bits.1 {
-            return Err(DewError::EmptySetRange {
-                min_set_bits: assoc_bits.0,
-                max_set_bits: assoc_bits.1,
-            });
-        }
+    /// The direction bits of one lane live in one `u64`: lanes wider than
+    /// [`MAX_PLRU_ASSOC`] are [`DewError::BadAssoc`].
+    fn check(_: PlruTreeOptions, assoc_bits: (u32, u32)) -> Result<(), DewError> {
         if assoc_bits.1 > MAX_PLRU_ASSOC.trailing_zeros() {
             return Err(DewError::BadAssoc(
                 1u32.checked_shl(assoc_bits.1).unwrap_or(u32::MAX),
             ));
         }
-        let pass = PassConfig::new(block_bits, set_bits.0, set_bits.1, 1 << assoc_bits.1)?;
-        let assoc_list: Vec<u32> = (assoc_bits.0..=assoc_bits.1).map(|b| 1 << b).collect();
-        let lanes: Vec<u32> = (assoc_bits.0.max(1)..=assoc_bits.1)
-            .map(|b| 1 << b)
-            .collect();
-        let mut lane_off = Vec::with_capacity(lanes.len());
-        let mut stride = 0usize;
-        for &w in &lanes {
-            lane_off.push(stride);
-            stride += w as usize;
-        }
-        Ok(PlruTreeSimulator {
-            arena: PlruArena::new(&pass, stride.max(1), lanes.len()),
-            pass,
-            opts,
-            assoc_list,
-            lane_comparisons: if instrument {
-                vec![0; lanes.len()]
-            } else {
-                Vec::new()
-            },
-            lanes,
-            lane_off,
-            stride,
-            counters: PlruTreeCounters::default(),
-            prev_block: INVALID_TAG,
-            instrument,
-            backend: KernelBackend::active(),
-        })
-    }
-
-    /// The tag-scan backend batched scans run on (fixed at construction
-    /// unless [`PlruTreeSimulator::force_scan_backend`] pins another).
-    #[must_use]
-    pub fn scan_backend(&self) -> KernelBackend {
-        self.backend
-    }
-
-    /// Pins the scan backend (the differential harness drives the same
-    /// simulator once per backend to prove them bit-identical).
-    ///
-    /// # Errors
-    ///
-    /// [`DewError::UnsoundOptions`] when `backend` is not available on this
-    /// build/machine.
-    pub fn force_scan_backend(&mut self, backend: KernelBackend) -> Result<(), DewError> {
-        if !backend.is_available() {
-            return Err(DewError::UnsoundOptions(
-                "requested scan backend is not available on this build/machine",
-            ));
-        }
-        self.backend = backend;
         Ok(())
     }
 
-    /// The simulated associativities, ascending.
-    #[must_use]
-    pub fn assoc_list(&self) -> &[u32] {
-        &self.assoc_list
+    fn new(
+        opts: PlruTreeOptions,
+        instrument: bool,
+        nodes: usize,
+        widths: &[usize],
+        _: usize,
+    ) -> Self {
+        PlruLanes {
+            opts,
+            bits: vec![0; nodes * widths.len()],
+            mra_way: vec![0; nodes * widths.len()],
+            counters: PlruTreeCounters::default(),
+            lane_comparisons: if instrument {
+                vec![0; widths.len()]
+            } else {
+                Vec::new()
+            },
+            prev_block: INVALID_TAG,
+        }
     }
 
-    /// The geometry of the forest (`assoc()` reports the widest lane).
-    #[must_use]
-    pub fn pass(&self) -> &PassConfig {
-        &self.pass
+    #[inline(always)]
+    fn run<S: TagScan>(arena: &mut Arena<Self>, scan: S, blocks: &[u64]) {
+        arena.drive(blocks, |a, b| kernel(a, scan, b));
     }
 
-    /// `true` when this simulator maintains the work counters.
-    #[must_use]
-    pub fn is_instrumented(&self) -> bool {
-        self.instrument
-    }
-
-    /// The work counters.
-    #[must_use]
-    pub fn counters(&self) -> &PlruTreeCounters {
+    fn counters(&self) -> &PlruTreeCounters {
         &self.counters
     }
 
-    /// Simulates one record (only the address matters).
-    pub fn step_record(&mut self, record: Record) {
-        self.step(record.addr);
+    fn accesses(&self) -> u64 {
+        self.counters.accesses
     }
 
-    /// Simulates one request by byte address.
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::DewTree::step`]: the block number must not collide with
-    /// the internal sentinel.
-    pub fn step(&mut self, addr: u64) {
-        self.step_block(addr >> self.pass.block_bits());
+    fn duplicate_skips(&self) -> u64 {
+        self.counters.duplicate_skips
     }
 
-    /// Simulates one request given as a pre-decoded block number.
-    ///
-    /// # Panics
-    ///
-    /// As [`PlruTreeSimulator::step`], if `block` equals the internal
-    /// sentinel.
-    pub fn step_block(&mut self, block: u64) {
-        assert_ne!(
-            block, INVALID_TAG,
-            "block {block:#x} exceeds the supported range"
-        );
-        // Single steps always use the scalar scan: batch-level backend
-        // dispatch is where the SIMD instantiations live (`crate::simd`
-        // module docs), and the backends are bit-identical anyway.
-        self.kernel(ScalarScan, block);
-    }
-
-    /// Simulates a batch of pre-decoded block numbers — the sweep's fused
-    /// drive path.
-    ///
-    /// # Panics
-    ///
-    /// As [`PlruTreeSimulator::step`], if any block equals the sentinel.
-    pub fn run_blocks(&mut self, blocks: &[u64]) {
-        match self.backend {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            KernelBackend::Avx2 => {
-                // SAFETY: `backend` is only `Avx2` after runtime detection
-                // (`KernelBackend::is_available`).
-                #[allow(unsafe_code)]
-                unsafe {
-                    self.run_blocks_avx2(blocks);
-                }
-            }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            KernelBackend::Sse2 => self.drive(crate::simd::Sse2Scan, blocks),
-            _ => self.drive(ScalarScan, blocks),
-        }
-    }
-
-    /// The AVX2 compilation root of the batch loop (see `crate::simd`
-    /// module docs for the dispatch rules).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    #[allow(unsafe_code)]
-    unsafe fn run_blocks_avx2(&mut self, blocks: &[u64]) {
-        self.drive(crate::simd::Avx2Scan, blocks);
-    }
-
-    /// The batch loop: the kernel on every block, plus software prefetch of
-    /// the deepest (largest, least cache-resident) level's MRA word and
-    /// way-tag region [`PF_DIST`] requests ahead.
-    #[inline(always)]
-    fn drive<S: TagScan>(&mut self, scan: S, blocks: &[u64]) {
-        let deepest = self.arena.set_mask.len() - 1;
-        let d_off = self.arena.node_off[deepest];
-        let d_mask = self.arena.set_mask[deepest];
-        let stride = self.stride.max(1);
-        for (i, &b) in blocks.iter().enumerate() {
-            assert_ne!(b, INVALID_TAG, "block {b:#x} exceeds the supported range");
-            if let Some(&ahead) = blocks.get(i + PF_DIST) {
-                let node = d_off + (ahead & d_mask) as usize;
-                prefetch_read(&self.arena.mra, node);
-                prefetch_read(&self.arena.tags, node * stride);
-            }
-            self.kernel(scan, b);
-        }
-    }
-
-    /// The kernel. Per level: one MRA comparison settles the direct-mapped
-    /// result; on a match every lane re-touches its MRA way pointer (no
-    /// searches, no misses anywhere — but no early termination either, the
-    /// direction bits of deeper levels still need the touch). On a mismatch
-    /// each lane searches its valid prefix, touching the hit way or
-    /// inserting at the first invalid way / the direction-bit victim.
-    ///
-    /// `S` is the tag-scan backend the wide compares run on ([`TagScan`]).
-    fn kernel<S: TagScan>(&mut self, scan: S, block: u64) {
-        self.counters.accesses += 1;
-        if self.opts.duplicate_elision {
-            if block == self.prev_block {
-                // The block is the MRA entry of every set on its path, and
-                // re-touching the same way is idempotent on the bits.
-                self.counters.duplicate_skips += 1;
-                return;
-            }
-            self.prev_block = block;
-        }
-        let nk = self.lanes.len();
-        let stride = self.stride.max(1);
-        let a = &mut self.arena;
-        for li in 0..a.set_mask.len() {
-            let node = a.node_off[li] + (block & a.set_mask[li]) as usize;
-            if self.instrument {
-                self.counters.node_evaluations += 1;
-                self.counters.tag_comparisons += 1;
-            }
-            if a.mra[node] == block {
-                if self.instrument {
-                    self.counters.mra_hits += 1;
-                }
-                // Hit in every lane; the way pointer spares the search, the
-                // touch is mandatory.
-                for (k, &w) in self.lanes.iter().enumerate() {
-                    plru_touch(
-                        &mut a.bits[node * nk + k],
-                        a.mra_way[node * nk + k] as usize,
-                        w as usize,
-                    );
-                }
-                continue;
-            }
-            a.dm_misses[li] += 1;
-            a.mra[node] = block;
-            let region = &mut a.tags[node * stride..(node + 1) * stride];
-            for (k, (&w, &off)) in self.lanes.iter().zip(self.lane_off.iter()).enumerate() {
-                let w = w as usize;
-                let lane = &mut region[off..off + w];
-                // One wide scan finds the block or, failing that, the first
-                // invalid way (valid tags are a prefix: ways fill in
-                // physical order and evictions overwrite in place). The
-                // comparison tallies are derived arithmetically — a hit at
-                // depth `i` would have inspected `i + 1` valid tags, a miss
-                // the whole valid prefix — so the instrumented counters stay
-                // bit-identical to the sequential scalar scan's.
-                let (hit, first_invalid) = match lane_scan(scan, lane, block, INVALID_TAG) {
-                    LaneScan::Hit(i) => (Some(i), w),
-                    LaneScan::Miss { valid_len } => (None, valid_len),
-                };
-                if self.instrument {
-                    let spent = match hit {
-                        Some(i) => i as u64 + 1,
-                        None => first_invalid as u64,
-                    };
-                    self.lane_comparisons[k] += spent;
-                    self.counters.tag_comparisons += spent;
-                }
-                let bits = &mut a.bits[node * nk + k];
-                let way = match hit {
-                    Some(i) => i,
-                    None => {
-                        a.misses[li * nk.max(1) + k] += 1;
-                        let victim = if first_invalid < w {
-                            first_invalid
-                        } else {
-                            plru_victim(*bits, w)
-                        };
-                        lane[victim] = block;
-                        victim
-                    }
-                };
-                plru_touch(bits, way, w);
-                a.mra_way[node * nk + k] = way as u32;
-            }
-        }
-    }
-
-    /// Snapshot of the per-configuration miss counts (associativity 1, when
-    /// simulated, comes from the shared direct-mapped accounting).
-    #[must_use]
-    pub fn results(&self) -> AllAssocResults {
-        let include_dm = self.assoc_list.first() == Some(&1);
-        let nk = self.lanes.len();
-        let stride = nk.max(1);
-        let misses = (0..self.arena.dm_misses.len())
-            .map(|li| {
-                let mut row = Vec::with_capacity(self.assoc_list.len());
-                if include_dm {
-                    row.push(self.arena.dm_misses[li]);
-                }
-                row.extend_from_slice(&self.arena.misses[li * stride..li * stride + nk]);
-                row
-            })
-            .collect();
-        AllAssocResults::new(
-            self.pass,
-            self.counters.accesses,
-            self.assoc_list.clone(),
-            misses,
-        )
-    }
-
-    /// Fans this pass out into the [`PassResults`] a standalone
-    /// `(block size, assoc)` pass would have produced, or `None` when
-    /// `assoc` was not simulated — the sweep's per-pass result shape, as in
-    /// every fused kernel.
-    #[must_use]
-    pub fn pass_results(&self, assoc: u32) -> Option<PassResults> {
-        if !self.assoc_list.contains(&assoc) {
-            return None;
-        }
-        let pass = PassConfig::new(
-            self.pass.block_bits(),
-            self.pass.min_set_bits(),
-            self.pass.max_set_bits(),
-            assoc,
-        )
-        .ok()?;
-        let stride = self.lanes.len().max(1);
-        let k = self.lanes.iter().position(|&a| a == assoc);
-        let levels = self
-            .arena
-            .dm_misses
-            .iter()
-            .enumerate()
-            .map(|(li, &dm)| {
-                let misses = match k {
-                    Some(k) => self.arena.misses[li * stride + k],
-                    None => dm, // assoc 1: the MRA lane is the simulation
-                };
-                LevelResult::new(self.pass.min_set_bits() + li as u32, misses, dm)
-            })
-            .collect();
-        Some(PassResults::new(pass, self.counters.accesses, levels))
-    }
-
-    /// The [`DewCounters`] view a standalone pass at `assoc` is entitled to
-    /// report. The walk is shared, so the evaluation-level quantities are
-    /// shared verbatim; an MRA hit settles the node without a search (the
-    /// way pointer re-touch is free of tag comparisons) and maps onto the
+    /// The walk is shared, so the evaluation-level quantities are shared
+    /// verbatim; an MRA hit settles the node without a search (the way
+    /// pointer re-touch is free of tag comparisons) and maps onto the
     /// `mra_stops` bucket, every other evaluation is a search in this lane.
     /// Per-lane search comparisons are tracked separately so each view
-    /// reports its own lane's work. Returns `None` when `assoc` was not
-    /// simulated.
-    #[must_use]
-    pub fn pass_counters(&self, assoc: u32) -> Option<DewCounters> {
-        if !self.assoc_list.contains(&assoc) {
-            return None;
-        }
-        if !self.instrument {
-            return Some(DewCounters {
-                accesses: self.counters.accesses,
-                duplicate_skips: self.counters.duplicate_skips,
-                ..DewCounters::new()
-            });
-        }
-        let searches = self.counters.node_evaluations - self.counters.mra_hits;
-        let search_comparisons = match self.lanes.iter().position(|&a| a == assoc) {
-            Some(k) => self.lane_comparisons[k],
-            // Associativity 1: the MRA mismatch *is* the decision, mirroring
-            // the FIFO fan-out's direct-mapped accounting.
-            None => searches,
-        };
-        Some(DewCounters {
-            accesses: self.counters.accesses,
-            duplicate_skips: self.counters.duplicate_skips,
-            node_evaluations: self.counters.node_evaluations,
-            mra_stops: self.counters.mra_hits,
+    /// reports its own lane's work.
+    fn pass_counters(&self, lane: Option<usize>) -> DewCounters {
+        let c = &self.counters;
+        let searches = c.node_evaluations - c.mra_hits;
+        // Associativity 1: the MRA mismatch *is* the decision, mirroring
+        // the FIFO fan-out's direct-mapped accounting.
+        let search_comparisons = lane.map_or(searches, |k| self.lane_comparisons[k]);
+        DewCounters {
+            accesses: c.accesses,
+            duplicate_skips: c.duplicate_skips,
+            node_evaluations: c.node_evaluations,
+            mra_stops: c.mra_hits,
             searches,
             search_comparisons,
-            tag_comparisons: self.counters.node_evaluations + search_comparisons,
+            tag_comparisons: c.node_evaluations + search_comparisons,
             ..DewCounters::new()
-        })
+        }
     }
 
-    /// Actual heap footprint of the arena's lanes in bytes (excludes
-    /// counters and scratch).
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        let a = &self.arena;
-        a.mra.len() * 8 + a.tags.len() * 8 + a.bits.len() * 8 + a.mra_way.len() * 4
+    fn lane_bytes(&self) -> usize {
+        self.bits.len() * 8 + self.mra_way.len() * 4
     }
 
-    /// Serialises the complete arena state to bytes under its own magic
-    /// (`DEWP`). The sharded sweep's snapshot-handoff mode and the
-    /// checkpoint sidecars round-trip these buffers.
-    #[must_use]
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        use crate::snapshot::{put_u32, put_u64};
-        let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.push(SNAP_VERSION);
-        put_u32(&mut out, self.pass.block_bits());
-        put_u32(&mut out, self.pass.min_set_bits());
-        put_u32(&mut out, self.pass.max_set_bits());
-        put_u32(&mut out, self.assoc_list[0].trailing_zeros());
-        put_u32(&mut out, self.pass.assoc().trailing_zeros());
-        let flags = u8::from(self.opts.duplicate_elision) | u8::from(self.instrument) << 1;
-        out.push(flags);
-        let c = &self.counters;
-        for v in [
-            c.accesses,
-            c.node_evaluations,
-            c.mra_hits,
-            c.duplicate_skips,
-            c.tag_comparisons,
-        ] {
-            put_u64(&mut out, v);
-        }
-        for &v in &self.lane_comparisons {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, self.prev_block);
-        let a = &self.arena;
-        for &v in a
-            .misses
-            .iter()
-            .chain(&a.dm_misses)
-            .chain(&a.mra)
-            .chain(&a.tags)
-            .chain(&a.bits)
-        {
-            put_u64(&mut out, v);
-        }
-        for &v in &a.mra_way {
-            put_u32(&mut out, v);
-        }
-        out
+    fn flags(&self, instrument: bool) -> u8 {
+        u8::from(self.opts.duplicate_elision) | u8::from(instrument) << 1
     }
 
-    /// Restores a simulator from [`PlruTreeSimulator::to_snapshot`] output;
-    /// continuing it is bit-identical to the uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::snapshot::SnapshotError`] for foreign, truncated or
-    /// internally inconsistent buffers; a valid buffer of one of the *other*
-    /// policies' kernels reports [`crate::snapshot::SnapshotError::PolicyMismatch`].
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError};
-        let mut cur = Cursor::new(bytes);
-        let magic = cur.bytes(4)?;
-        if magic != SNAP_MAGIC {
-            for sibling in [
-                crate::multi_assoc::SNAP_MAGIC,
-                crate::lru_tree::SNAP_MAGIC,
-                crate::slru_tree::SNAP_MAGIC,
-            ] {
-                if magic == sibling {
-                    return Err(SnapshotError::PolicyMismatch {
-                        expected: SNAP_MAGIC,
-                        found: sibling,
-                    });
-                }
-            }
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = cur.u8()?;
-        if version != SNAP_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
-        let (assoc_lo_bits, assoc_hi_bits) = (cur.u32()?, cur.u32()?);
-        cur.expect_lanes(
-            (min_set_bits, max_set_bits),
-            crate::snapshot::pow2_span((assoc_lo_bits.max(1), assoc_hi_bits)),
-        )?;
-        let flags = cur.u8()?;
+    fn from_flags(flags: u8) -> (PlruTreeOptions, bool) {
         let opts = PlruTreeOptions {
             duplicate_elision: flags & 1 != 0,
         };
-        let instrument = flags & 2 != 0;
-        let mut sim = PlruTreeSimulator::with_instrumentation(
-            block_bits,
-            (min_set_bits, max_set_bits),
-            (assoc_lo_bits, assoc_hi_bits),
-            opts,
-            instrument,
+        (opts, flags & 2 != 0)
+    }
+
+    fn write_head(&self, out: &mut Vec<u8>) {
+        let c = &self.counters;
+        put_u64s(
+            out,
+            &[
+                c.accesses,
+                c.node_evaluations,
+                c.mra_hits,
+                c.duplicate_skips,
+                c.tag_comparisons,
+            ],
+        );
+        put_u64s(out, self.lane_comparisons.iter().chain([&self.prev_block]));
+    }
+
+    fn read_head(&mut self, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+        let c = &mut self.counters;
+        read_u64s(
+            cur,
+            [
+                &mut c.accesses,
+                &mut c.node_evaluations,
+                &mut c.mra_hits,
+                &mut c.duplicate_skips,
+                &mut c.tag_comparisons,
+            ],
+        )?;
+        read_u64s(
+            cur,
+            self.lane_comparisons
+                .iter_mut()
+                .chain([&mut self.prev_block]),
         )
-        .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
-        let c = &mut sim.counters;
-        c.accesses = cur.u64()?;
-        c.node_evaluations = cur.u64()?;
-        c.mra_hits = cur.u64()?;
-        c.duplicate_skips = cur.u64()?;
-        c.tag_comparisons = cur.u64()?;
-        for v in &mut sim.lane_comparisons {
-            *v = cur.u64()?;
+    }
+
+    fn write_tail(arena: &Arena<Self>, out: &mut Vec<u8>) {
+        put_u64s(out, &arena.lanes.bits);
+        put_u32s(out, &arena.lanes.mra_way);
+    }
+
+    fn read_tail(arena: &mut Arena<Self>, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+        let widths = &arena.widths;
+        read_u64s(cur, &mut arena.lanes.bits)?;
+        read_u32s(cur, &mut arena.lanes.mra_way)?;
+        within(&arena.lanes.mra_way, "way pointer out of range", |i, v| {
+            (v as usize) < widths[i % widths.len()]
+        })
+    }
+}
+
+/// The kernel. Per level: one MRA comparison settles the direct-mapped
+/// result; on a match every lane re-touches its MRA way pointer (no
+/// searches, no misses anywhere — but no early termination either, the
+/// direction bits of deeper levels still need the touch). On a mismatch
+/// each lane searches its valid prefix, touching the hit way or inserting
+/// at the first invalid way / the direction-bit victim.
+///
+/// `S` is the tag-scan backend the wide compares run on ([`TagScan`]).
+fn kernel<S: TagScan>(a: &mut Arena<PlruLanes>, scan: S, block: u64) {
+    let l = &mut a.lanes;
+    l.counters.accesses += 1;
+    if l.opts.duplicate_elision {
+        if block == l.prev_block {
+            // The block is the MRA entry of every set on its path, and
+            // re-touching the same way is idempotent on the bits.
+            l.counters.duplicate_skips += 1;
+            return;
         }
-        sim.prev_block = cur.u64()?;
-        let a = &mut sim.arena;
-        for v in a
-            .misses
-            .iter_mut()
-            .chain(&mut a.dm_misses)
-            .chain(&mut a.mra)
-            .chain(&mut a.tags)
-            .chain(&mut a.bits)
-        {
-            *v = cur.u64()?;
+        l.prev_block = block;
+    }
+    let nk = a.widths.len();
+    let stride = a.pstride;
+    for li in 0..a.set_mask.len() {
+        let node = a.node_off[li] + (block & a.set_mask[li]) as usize;
+        if a.instrument {
+            l.counters.node_evaluations += 1;
+            l.counters.tag_comparisons += 1;
         }
-        let nk = sim.lanes.len();
-        for (i, v) in a.mra_way.iter_mut().enumerate() {
-            *v = cur.u32()?;
-            if nk > 0 && *v >= sim.lanes[i % nk] {
-                return Err(SnapshotError::Corrupt("way pointer out of range"));
+        if a.mra[node] == block {
+            if a.instrument {
+                l.counters.mra_hits += 1;
             }
+            // Hit in every lane; the way pointer spares the search, the
+            // touch is mandatory.
+            for (k, &w) in a.widths.iter().enumerate() {
+                plru_touch(
+                    &mut l.bits[node * nk + k],
+                    l.mra_way[node * nk + k] as usize,
+                    w,
+                );
+            }
+            continue;
         }
-        if cur.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes(cur.remaining()));
+        a.dm_misses[li] += 1;
+        a.mra[node] = block;
+        let region = &mut a.tags[node * stride..(node + 1) * stride];
+        for (k, (&w, &off)) in a.widths.iter().zip(&a.lane_off).enumerate() {
+            let lane = &mut region[off..off + w];
+            // One wide scan finds the block or, failing that, the first
+            // invalid way (valid tags are a prefix: ways fill in physical
+            // order and evictions overwrite in place). The comparison
+            // tallies are derived arithmetically — a hit at depth `i` would
+            // have inspected `i + 1` valid tags, a miss the whole valid
+            // prefix — so the instrumented counters stay bit-identical to
+            // the sequential scalar scan's.
+            let (hit, first_invalid) = match lane_scan(scan, lane, block, INVALID_TAG) {
+                LaneScan::Hit(i) => (Some(i), w),
+                LaneScan::Miss { valid_len } => (None, valid_len),
+            };
+            if a.instrument {
+                let spent = match hit {
+                    Some(i) => i as u64 + 1,
+                    None => first_invalid as u64,
+                };
+                l.lane_comparisons[k] += spent;
+                l.counters.tag_comparisons += spent;
+            }
+            let bits = &mut l.bits[node * nk + k];
+            let way = match hit {
+                Some(i) => i,
+                None => {
+                    a.misses[li * nk.max(1) + k] += 1;
+                    let victim = if first_invalid < w {
+                        first_invalid
+                    } else {
+                        plru_victim(*bits, w)
+                    };
+                    lane[victim] = block;
+                    victim
+                }
+            };
+            plru_touch(bits, way, w);
+            l.mra_way[node * nk + k] = way as u32;
         }
-        Ok(sim)
     }
 }
 
@@ -812,6 +408,7 @@ impl PlruTreeSimulator {
 mod tests {
     use super::*;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
+    use dew_trace::Record;
 
     fn addrs(n: usize, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;
@@ -899,39 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn pass_results_fan_out_matches_all_assoc_view() {
-        let a = addrs(2500, 0x5EED_6003);
-        for instrument in [false, true] {
-            let mut sim = PlruTreeSimulator::with_instrumentation(
-                3,
-                (1, 5),
-                (0, 3),
-                PlruTreeOptions::default(),
-                instrument,
-            )
-            .expect("valid");
-            for &x in &a {
-                sim.step(x);
-            }
-            let all = sim.results();
-            for &assoc in sim.assoc_list() {
-                let pr = sim.pass_results(assoc).expect("simulated");
-                assert_eq!(pr.pass().assoc(), assoc);
-                for set_bits in 1..=5u32 {
-                    let sets = 1 << set_bits;
-                    assert_eq!(pr.misses(sets, assoc), all.misses(sets, assoc));
-                    assert_eq!(pr.misses(sets, 1), all.misses(sets, 1));
-                }
-                let c = sim.pass_counters(assoc).expect("simulated");
-                assert!(c.is_consistent(), "assoc={assoc}: {c}");
-                assert_eq!(c.accesses, a.len() as u64);
-            }
-            assert!(sim.pass_results(16).is_none());
-            assert!(sim.pass_counters(16).is_none());
-        }
-    }
-
-    #[test]
     fn snapshot_round_trip_is_bit_identical() {
         let a = addrs(2000, 0x5EED_6004);
         for instrument in [false, true] {
@@ -971,8 +535,8 @@ mod tests {
         .expect("valid");
         match PlruTreeSimulator::from_snapshot(&lru.to_snapshot()) {
             Err(SnapshotError::PolicyMismatch { expected, found }) => {
-                assert_eq!(expected, SNAP_MAGIC);
-                assert_eq!(found, crate::lru_tree::SNAP_MAGIC);
+                assert_eq!(expected, crate::arena::magic(TreePolicy::Plru));
+                assert_eq!(found, crate::arena::magic(TreePolicy::Lru));
             }
             other => panic!("expected PolicyMismatch, got {other:?}"),
         }
@@ -989,12 +553,5 @@ mod tests {
             Err(DewError::BadAssoc(128))
         ));
         assert!(PlruTreeSimulator::new(2, 0, 2, 64, PlruTreeOptions::default()).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the supported range")]
-    fn sentinel_block_panics_in_batches() {
-        let mut sim = PlruTreeSimulator::new(0, 0, 1, 2, PlruTreeOptions::default()).expect("ok");
-        sim.run_blocks(&[0, 1, u64::MAX]);
     }
 }

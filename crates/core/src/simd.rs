@@ -45,8 +45,8 @@
 //!
 //! This module is the only place `dew-core` touches `core::arch` (the crate
 //! otherwise forbids unsafe code; with the `simd` feature it is demoted to
-//! `deny` and allowed here and in the kernels' `#[target_feature]` batch
-//! wrappers). The AVX2 intrinsics are only reachable through
+//! `deny` and allowed here and in the arena skeleton's one
+//! `#[target_feature]` batch root, `crate::arena`). The AVX2 intrinsics are only reachable through
 //! [`KernelBackend::Avx2`], which [`KernelBackend::active`] and
 //! [`KernelBackend::is_available`] hand out only after
 //! `is_x86_feature_detected!("avx2")` succeeds; the SSE2 path is
@@ -152,8 +152,10 @@ pub(crate) fn force_scalar_globally() {
 
 /// One scan backend as a zero-sized strategy type: kernels monomorphise
 /// their batch loop over this, so the `#[inline(always)]` mask computation
-/// inlines into each backend's `#[target_feature]` driver.
-pub(crate) trait TagScan: Copy {
+/// inlines into each backend's `#[target_feature]` driver. Nominally `pub`
+/// (in this private module) so the sealed [`crate::arena::LanePolicy`] can
+/// take it as a bound.
+pub trait TagScan: Copy {
     /// Position-exact match mask: bit `i` is set iff `region[i] == needle`.
     /// `region.len()` must not exceed 64.
     fn match_mask(self, region: &[u64], needle: u64) -> u64;
@@ -244,8 +246,8 @@ impl TagScan for Avx2Scan {
         let mut mask = 0u64;
         let mut i = 0usize;
         // SAFETY: this strategy is only constructed after
-        // `is_x86_feature_detected!("avx2")` succeeded (and the kernels'
-        // batch drivers carry `#[target_feature(enable = "avx2")]`, so the
+        // `is_x86_feature_detected!("avx2")` succeeded (and the arena's
+        // batch root carries `#[target_feature(enable = "avx2")]`, so the
         // intrinsics inline there); the unaligned load reads lanes
         // `i..i+4`, in bounds by the loop condition.
         unsafe {

@@ -101,63 +101,72 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-/// A little-endian byte reader over a snapshot buffer.
-#[derive(Debug)]
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+pub(crate) use cursor::Cursor;
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+/// Private home of [`Cursor`]: nominally `pub` so the sealed
+/// [`crate::arena::LanePolicy`] can name it in its snapshot hooks, yet
+/// unreachable from outside the crate.
+mod cursor {
+    use super::{pow2_span, SnapshotError};
+
+    /// A little-endian byte reader over a snapshot buffer.
+    #[derive(Debug)]
+    pub struct Cursor<'a> {
+        buf: &'a [u8],
+        pos: usize,
     }
 
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Corrupt("unexpected end of snapshot"));
+    impl<'a> Cursor<'a> {
+        pub(crate) fn new(buf: &'a [u8]) -> Self {
+            Cursor { buf, pos: 0 }
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Fails unless the buffer still holds the lane state a header's
-    /// geometry implies: every node of a forest over the set-count levels
-    /// `set_bits` serializes at least an 8-byte MRA tag and an 8-byte tag
-    /// per way, `ways` ways a node. A decoder calls this before it builds
-    /// the arena the header describes, so a short buffer cannot make it
-    /// allocate more than a constant factor of its own length.
-    pub(crate) fn expect_lanes(
-        &self,
-        set_bits: (u32, u32),
-        ways: u128,
-    ) -> Result<(), SnapshotError> {
-        let need = pow2_span(set_bits).saturating_mul(8 * ways.saturating_add(1));
-        if need > self.remaining() as u128 {
-            return Err(SnapshotError::Corrupt(
-                "geometry implies more state than the snapshot holds",
-            ));
+        pub(crate) fn remaining(&self) -> usize {
+            self.buf.len() - self.pos
         }
-        Ok(())
+
+        pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+            if self.remaining() < n {
+                return Err(SnapshotError::Corrupt("unexpected end of snapshot"));
+            }
+            let out = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(out)
+        }
+
+        pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
+            Ok(self.bytes(1)?[0])
+        }
+
+        pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
+            let b = self.bytes(4)?;
+            Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        }
+
+        pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
+            let b = self.bytes(8)?;
+            Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        }
+
+        /// Fails unless the buffer still holds the lane state a header's
+        /// geometry implies: every node of a forest over the set-count levels
+        /// `set_bits` serializes at least an 8-byte MRA tag and an 8-byte tag
+        /// per way, `ways` ways a node. A decoder calls this before it builds
+        /// the arena the header describes, so a short buffer cannot make it
+        /// allocate more than a constant factor of its own length.
+        pub(crate) fn expect_lanes(
+            &self,
+            set_bits: (u32, u32),
+            ways: u128,
+        ) -> Result<(), SnapshotError> {
+            let need = pow2_span(set_bits).saturating_mul(8 * ways.saturating_add(1));
+            if need > self.remaining() as u128 {
+                return Err(SnapshotError::Corrupt(
+                    "geometry implies more state than the snapshot holds",
+                ));
+            }
+            Ok(())
+        }
     }
 }
 

@@ -208,7 +208,8 @@ fn oversized_headers_are_rejected_before_the_arena_is_built() {
             .expect("valid");
     let lru = oversized_header(lru.to_snapshot(), 26);
     assert!(corrupt(LruTreeSimulator::from_snapshot(&lru).map(drop)));
-    let slru = SlruTreeSimulator::with_instrumentation(2, (0, 3), (0, 2), false).expect("valid");
+    let slru =
+        SlruTreeSimulator::with_instrumentation(2, (0, 3), (0, 2), (), false).expect("valid");
     let slru = oversized_header(slru.to_snapshot(), 26);
     assert!(corrupt(SlruTreeSimulator::from_snapshot(&slru).map(drop)));
     let tree = DewTree::new(
