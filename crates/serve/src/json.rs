@@ -9,6 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a bound a single line of
+/// `[`s overflows the stack and aborts the process; protocol documents
+/// nest a few levels at most.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 ///
 /// Objects use a [`BTreeMap`], so emission order is deterministic — handy
@@ -51,11 +57,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the failure position on malformed input.
+    /// [`JsonError`] with the failure position on malformed input,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -201,6 +209,8 @@ fn emit_str(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -245,8 +255,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -456,6 +477,25 @@ mod tests {
             assert!(!err.to_string().is_empty());
         }
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).expect_err("too deep");
+        assert!(err.message.contains("nest"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok(), "the limit itself parses");
+        let over = format!(
+            "{{\"a\":{}{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        assert!(
+            Json::parse(&over).is_err(),
+            "objects count towards the depth"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   drained vs cancelled vs shed.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,6 +49,11 @@ use dew_core::{
 };
 use dew_explore::{best_edp_under, evaluate_sweep, pareto_front, EnergyModel};
 use dew_trace::{FaultPlan, FaultyTraceSource, Record, TraceError, TraceSource};
+
+/// Longest request line a connection buffers. A longer line is answered
+/// with a structured error and skipped to its end in bounded reads, so one
+/// client cannot make the server grow without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Tunables of one server instance. [`ServeConfig::default`] suits tests
 /// and the soak bench; the CLI maps flags onto these fields.
@@ -685,19 +690,19 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {}
-            Err(_) => return, // read timeout or reset: drop the connection
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = match Request::parse(trimmed) {
+        let parsed = match read_line_capped(&mut reader, &mut line) {
+            Ok(Some(true)) => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Request::parse(text.trim()),
+                Err(_) => Err("request line is not UTF-8".to_owned()),
+            },
+            Ok(Some(false)) => Err(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+            Ok(None) => return, // client closed
+            Err(_) => return,   // read timeout or reset: drop the connection
+        };
+        let response = match parsed {
             Ok(req) => inner.handle(req),
             Err(msg) => {
                 Stats::bump(&inner.stats.malformed);
@@ -708,6 +713,41 @@ fn serve_connection(stream: TcpStream, inner: &Arc<Inner>) {
         out.push('\n');
         if writer.write_all(out.as_bytes()).is_err() {
             return;
+        }
+    }
+}
+
+/// Reads one `\n`-terminated line into `line`, buffering at most
+/// [`MAX_LINE_BYTES`]: `Some(true)` for a whole line, `Some(false)` for an
+/// overlong one (its remainder is consumed and dropped), `None` at end of
+/// stream.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    line.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.len() <= MAX_LINE_BYTES || line.ends_with(b"\n") {
+        return Ok(Some(true));
+    }
+    line.clear();
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(Some(false));
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                reader.consume(end + 1);
+                return Ok(Some(false));
+            }
+            None => {
+                let len = chunk.len();
+                reader.consume(len);
+            }
         }
     }
 }

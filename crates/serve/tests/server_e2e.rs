@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use dew_serve::gen::{fetch_stats, run_gen, Client, GenConfig};
 use dew_serve::json::{num, obj, str, Json};
-use dew_serve::server::{ServeConfig, Server};
+use dew_serve::server::{ServeConfig, Server, MAX_LINE_BYTES};
 use dew_workloads::traffic::MixKind;
 
 fn start(cfg: ServeConfig) -> (Server, String) {
@@ -414,6 +414,50 @@ fn malformed_lines_and_unknown_ids_get_structured_errors() {
         unknown_policy.get("id").is_none(),
         "a rejected submit must not allocate a job id"
     );
+    server.stop();
+}
+
+#[test]
+fn hostile_lines_get_structured_errors_and_the_connection_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (server, addr) = start(ServeConfig::default());
+    let stream = std::net::TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut exchange = |line: &str| -> Json {
+        writer.write_all(line.as_bytes()).expect("send");
+        writer.write_all(b"\n").expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("one response line");
+        Json::parse(response.trim()).expect("a JSON response")
+    };
+    let error = |r: &Json| r.get("error").and_then(Json::as_str).map(str::to_owned);
+
+    // Deep enough to overflow a recursive parser, short enough to fit one
+    // request line.
+    let deep = exchange(&"[".repeat(60_000));
+    assert_eq!(deep.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(
+        error(&deep).is_some_and(|e| e.contains("nest")),
+        "{}",
+        deep.emit()
+    );
+
+    let long = exchange(&format!(r#"{{"cmd":"{}"}}"#, "a".repeat(MAX_LINE_BYTES)));
+    assert_eq!(long.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(
+        error(&long).is_some_and(|e| e.contains("longer than")),
+        "{}",
+        long.emit()
+    );
+
+    let stats = exchange(r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stat(&stats, "malformed"), 2);
     server.stop();
 }
 
