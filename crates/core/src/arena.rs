@@ -780,29 +780,12 @@ impl<P: LanePolicy> Arena<P> {
     }
 }
 
+/// The kernel contract every [`LanePolicy`] must keep, as generic checks.
+/// `arena::tests` runs each one over every registered policy; each policy's
+/// own test module runs them for its lanes.
 #[cfg(test)]
-mod tests {
+pub(crate) mod contract {
     use super::*;
-    use crate::lru_tree::LruLanes;
-    use crate::multi_assoc::FifoLanes;
-    use crate::plru_tree::PlruLanes;
-    use crate::slru_tree::SlruLanes;
-
-    /// Runs `$check::<P>()` for the lanes of every policy in
-    /// [`TreePolicy::ALL`]. The match is exhaustive, so a newly registered
-    /// policy cannot skip the kernel contract.
-    macro_rules! every_policy {
-        ($check:ident) => {
-            for policy in TreePolicy::ALL {
-                match policy {
-                    TreePolicy::Fifo => $check::<FifoLanes>(),
-                    TreePolicy::Lru => $check::<LruLanes>(),
-                    TreePolicy::Plru => $check::<PlruLanes>(),
-                    TreePolicy::Slru => $check::<SlruLanes>(),
-                }
-            }
-        };
-    }
 
     fn addrs(n: usize, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;
@@ -825,7 +808,9 @@ mod tests {
         P::options(DewOptions::for_policy(P::POLICY))
     }
 
-    fn fan_out<P: LanePolicy>() {
+    /// Every simulated pass's results and counters agree with the
+    /// all-associativity view, fast and instrumented.
+    pub(crate) fn fan_out<P: LanePolicy>() {
         let a = addrs(2500, 0x5EED_FA11);
         let policy = P::POLICY;
         for instrument in [false, true] {
@@ -861,12 +846,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pass_results_fan_out_matches_all_assoc_view() {
-        every_policy!(fan_out);
-    }
-
-    fn bad_assoc<P: LanePolicy>() {
+    /// Non-power-of-two and zero maximum associativities and an inverted
+    /// associativity range are errors.
+    pub(crate) fn bad_assoc<P: LanePolicy>() {
         for max_assoc in [0, 3] {
             assert!(
                 matches!(
@@ -887,19 +869,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn bad_assoc_ranges_are_rejected() {
-        every_policy!(bad_assoc);
+    /// Runs a batch holding the out-of-range sentinel block; it must panic
+    /// with "exceeds the supported range".
+    pub(crate) fn run_sentinel<P: LanePolicy>(instrument: bool) {
+        let mut sim =
+            Arena::<P>::with_instrumentation(0, (0, 1), (0, 1), preset::<P>(), instrument)
+                .expect("valid");
+        sim.run_blocks(&[0, 1, u64::MAX]);
     }
 
-    fn sentinel<P: LanePolicy>() {
+    /// [`run_sentinel`] panics as required, fast and instrumented.
+    pub(crate) fn sentinel<P: LanePolicy>() {
         for instrument in [false, true] {
-            let caught = std::panic::catch_unwind(|| {
-                let mut sim =
-                    Arena::<P>::with_instrumentation(0, (0, 1), (0, 1), preset::<P>(), instrument)
-                        .expect("valid");
-                sim.run_blocks(&[0, 1, u64::MAX]);
-            });
+            let caught = std::panic::catch_unwind(|| run_sentinel::<P>(instrument));
             let message = caught
                 .expect_err("the sentinel block must panic")
                 .downcast::<String>()
@@ -910,6 +892,42 @@ mod tests {
                 P::POLICY
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::contract::{bad_assoc, fan_out, sentinel};
+    use super::*;
+    use crate::lru_tree::LruLanes;
+    use crate::multi_assoc::FifoLanes;
+    use crate::plru_tree::PlruLanes;
+    use crate::slru_tree::SlruLanes;
+
+    /// Runs `$check::<P>()` for the lanes of every policy in
+    /// [`TreePolicy::ALL`]. The match is exhaustive, so a newly registered
+    /// policy cannot skip the kernel contract.
+    macro_rules! every_policy {
+        ($check:ident) => {
+            for policy in TreePolicy::ALL {
+                match policy {
+                    TreePolicy::Fifo => $check::<FifoLanes>(),
+                    TreePolicy::Lru => $check::<LruLanes>(),
+                    TreePolicy::Plru => $check::<PlruLanes>(),
+                    TreePolicy::Slru => $check::<SlruLanes>(),
+                }
+            }
+        };
+    }
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        every_policy!(fan_out);
+    }
+
+    #[test]
+    fn bad_assoc_ranges_are_rejected() {
+        every_policy!(bad_assoc);
     }
 
     #[test]

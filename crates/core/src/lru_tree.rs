@@ -801,4 +801,20 @@ mod tests {
         assert_eq!(r.misses(8, 3), None, "unsimulated associativity");
         assert_eq!(r.misses(6, 2), None, "non power-of-two sets");
     }
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        crate::arena::contract::fan_out::<LruLanes>();
+    }
+
+    #[test]
+    fn bad_assoc_ranges_are_rejected() {
+        crate::arena::contract::bad_assoc::<LruLanes>();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::contract::run_sentinel::<LruLanes>(false);
+    }
 }

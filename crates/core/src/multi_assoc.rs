@@ -1159,4 +1159,20 @@ mod tests {
             assert!(c.is_consistent());
         }
     }
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        crate::arena::contract::fan_out::<FifoLanes>();
+    }
+
+    #[test]
+    fn bad_assoc_ranges_are_rejected() {
+        crate::arena::contract::bad_assoc::<FifoLanes>();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::contract::run_sentinel::<FifoLanes>(false);
+    }
 }

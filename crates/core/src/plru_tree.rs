@@ -554,4 +554,15 @@ mod tests {
         ));
         assert!(PlruTreeSimulator::new(2, 0, 2, 64, PlruTreeOptions::default()).is_ok());
     }
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        crate::arena::contract::fan_out::<PlruLanes>();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::contract::run_sentinel::<PlruLanes>(false);
+    }
 }

@@ -438,4 +438,15 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
     }
+
+    #[test]
+    fn pass_results_fan_out_matches_all_assoc_view() {
+        crate::arena::contract::fan_out::<SlruLanes>();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported range")]
+    fn sentinel_block_panics_in_batches() {
+        crate::arena::contract::run_sentinel::<SlruLanes>(false);
+    }
 }
