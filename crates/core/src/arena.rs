@@ -56,7 +56,7 @@ use crate::space::{DewError, PassConfig};
 /// policy adds its row; a buffer carrying another row's magic is a
 /// [`SnapshotError::PolicyMismatch`], anything else a
 /// [`SnapshotError::BadMagic`].
-pub const REGISTRY: [(TreePolicy, [u8; 4]); 4] = [
+pub(crate) const REGISTRY: [(TreePolicy, [u8; 4]); 4] = [
     (TreePolicy::Fifo, *b"DEWM"),
     (TreePolicy::Lru, *b"DEWL"),
     (TreePolicy::Plru, *b"DEWP"),
@@ -72,7 +72,7 @@ const SNAP_VERSION: u8 = 1;
 ///
 /// Never for a registered policy; every [`TreePolicy`] has a row.
 #[must_use]
-pub fn magic(policy: TreePolicy) -> [u8; 4] {
+pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
     REGISTRY
         .iter()
         .find(|&&(p, _)| p == policy)
@@ -371,7 +371,7 @@ impl<P: LanePolicy> Arena<P> {
     /// # Errors
     ///
     /// [`DewError::EmptySetRange`] when the associativity range is inverted,
-    /// the policy's own rejections ([`LanePolicy::check`]), and the geometry
+    /// the policy's own rejections (`LanePolicy::check`), and the geometry
     /// errors of [`PassConfig::new`].
     pub fn with_instrumentation(
         block_bits: u32,
@@ -669,7 +669,7 @@ impl<P: LanePolicy> Arena<P> {
     }
 
     /// The [`DewCounters`] view a standalone pass at `assoc` is entitled to
-    /// report ([`LanePolicy::pass_counters`]); the fast kernel reports only
+    /// report (`LanePolicy::pass_counters`); the fast kernel reports only
     /// the request-level counters. The [`DewCounters::is_consistent`]
     /// identity holds for every fanned-out view. Returns `None` when
     /// `assoc` was not simulated.
@@ -781,8 +781,8 @@ impl<P: LanePolicy> Arena<P> {
 }
 
 /// The kernel contract every [`LanePolicy`] must keep, as generic checks.
-/// `arena::tests` runs each one over every registered policy; each policy's
-/// own test module runs them for its lanes.
+/// Each policy's own test module runs them for its lanes; `arena::tests`
+/// adds the instrumented sentinel case over every registered policy.
 #[cfg(test)]
 pub(crate) mod contract {
     use super::*;
@@ -808,18 +808,37 @@ pub(crate) mod contract {
         P::options(DewOptions::for_policy(P::POLICY))
     }
 
+    /// The preset and, where the policy allows it, the preset with
+    /// duplicate elision on, each with its `dup_elision` flag.
+    fn variants<P: LanePolicy>() -> Vec<(P::Options, bool)> {
+        let base = DewOptions::for_policy(P::POLICY);
+        let dup = DewOptions {
+            dup_elision: true,
+            ..base
+        };
+        let mut out = vec![(P::options(base), false)];
+        if dup.validate().is_ok() {
+            out.push((P::options(dup), true));
+        }
+        out
+    }
+
     /// Every simulated pass's results and counters agree with the
-    /// all-associativity view, fast and instrumented.
+    /// all-associativity view, fast and instrumented, under every option
+    /// variant (so also while duplicate requests are being skipped).
     pub(crate) fn fan_out<P: LanePolicy>() {
         let a = addrs(2500, 0x5EED_FA11);
         let policy = P::POLICY;
-        for instrument in [false, true] {
-            let mut sim =
-                Arena::<P>::with_instrumentation(3, (1, 6), (0, 3), preset::<P>(), instrument)
-                    .expect("valid");
+        for ((opts, dup), instrument) in variants::<P>()
+            .into_iter()
+            .flat_map(|v| [(v, false), (v, true)])
+        {
+            let mut sim = Arena::<P>::with_instrumentation(3, (1, 6), (0, 3), opts, instrument)
+                .expect("valid");
             for &x in &a {
                 sim.step(x);
             }
+            assert_eq!(sim.lanes.duplicate_skips() > 0, dup, "{policy} {opts:?}");
             let all = sim.results();
             for &assoc in sim.assoc_list() {
                 let pr = sim.pass_results(assoc).expect("simulated");
@@ -829,16 +848,16 @@ pub(crate) mod contract {
                     assert_eq!(
                         pr.misses(sets, assoc),
                         all.misses(sets, assoc),
-                        "{policy} sets={sets} assoc={assoc}"
+                        "{policy} {opts:?} sets={sets} assoc={assoc}"
                     );
                     assert_eq!(
                         pr.misses(sets, 1),
                         all.misses(sets, 1),
-                        "{policy} DM via assoc={assoc}"
+                        "{policy} {opts:?} DM via assoc={assoc}"
                     );
                 }
                 let c = sim.pass_counters(assoc).expect("simulated");
-                assert!(c.is_consistent(), "{policy} assoc={assoc}: {c}");
+                assert!(c.is_consistent(), "{policy} {opts:?} assoc={assoc}: {c}");
                 assert_eq!(c.accesses, a.len() as u64);
             }
             assert!(sim.pass_results(16).is_none(), "{policy}");
@@ -877,62 +896,39 @@ pub(crate) mod contract {
                 .expect("valid");
         sim.run_blocks(&[0, 1, u64::MAX]);
     }
-
-    /// [`run_sentinel`] panics as required, fast and instrumented.
-    pub(crate) fn sentinel<P: LanePolicy>() {
-        for instrument in [false, true] {
-            let caught = std::panic::catch_unwind(|| run_sentinel::<P>(instrument));
-            let message = caught
-                .expect_err("the sentinel block must panic")
-                .downcast::<String>()
-                .expect("a formatted panic message");
-            assert!(
-                message.contains("exceeds the supported range"),
-                "{} instrument={instrument}: {message}",
-                P::POLICY
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::contract::{bad_assoc, fan_out, sentinel};
+    use super::contract::run_sentinel;
     use super::*;
     use crate::lru_tree::LruLanes;
     use crate::multi_assoc::FifoLanes;
     use crate::plru_tree::PlruLanes;
     use crate::slru_tree::SlruLanes;
 
-    /// Runs `$check::<P>()` for the lanes of every policy in
-    /// [`TreePolicy::ALL`]. The match is exhaustive, so a newly registered
-    /// policy cannot skip the kernel contract.
-    macro_rules! every_policy {
-        ($check:ident) => {
-            for policy in TreePolicy::ALL {
-                match policy {
-                    TreePolicy::Fifo => $check::<FifoLanes>(),
-                    TreePolicy::Lru => $check::<LruLanes>(),
-                    TreePolicy::Plru => $check::<PlruLanes>(),
-                    TreePolicy::Slru => $check::<SlruLanes>(),
-                }
-            }
-        };
-    }
-
+    /// The instrumented batch path rejects the out-of-range sentinel block
+    /// like the fast one, which each policy's own
+    /// `sentinel_block_panics_in_batches` checks. The match is exhaustive,
+    /// so a newly registered policy cannot skip it.
     #[test]
-    fn pass_results_fan_out_matches_all_assoc_view() {
-        every_policy!(fan_out);
-    }
-
-    #[test]
-    fn bad_assoc_ranges_are_rejected() {
-        every_policy!(bad_assoc);
-    }
-
-    #[test]
-    fn sentinel_block_panics_in_batches() {
-        every_policy!(sentinel);
+    fn instrumented_sentinel_block_panics_in_batches() {
+        for policy in TreePolicy::ALL {
+            let caught = std::panic::catch_unwind(|| match policy {
+                TreePolicy::Fifo => run_sentinel::<FifoLanes>(true),
+                TreePolicy::Lru => run_sentinel::<LruLanes>(true),
+                TreePolicy::Plru => run_sentinel::<PlruLanes>(true),
+                TreePolicy::Slru => run_sentinel::<SlruLanes>(true),
+            });
+            let message = caught
+                .expect_err("the sentinel block must panic")
+                .downcast::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                message.contains("exceeds the supported range"),
+                "{policy}: {message}"
+            );
+        }
     }
 
     #[test]

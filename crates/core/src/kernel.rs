@@ -18,9 +18,9 @@
 //! [`PolicyKernel`] is that contract as a trait, implemented once for the
 //! generic [`Arena`] skeleton; [`FusedKernel`] is the concrete dispatcher
 //! the drivers hold (enum, not `dyn`, so the hot `run_blocks` call is a
-//! direct jump). Registering a policy means one [`LanePolicy`] impl (its
+//! direct jump). Registering a policy means one `LanePolicy` impl (its
 //! lanes, update rule, counters and snapshot state), one row in the
-//! [`crate::arena::REGISTRY`] of snapshot magics, and the matching
+//! `arena::REGISTRY` of snapshot magics, and the matching
 //! [`FusedKernel`] variant.
 
 use std::fmt;
@@ -142,7 +142,7 @@ impl FusedKernel {
     /// `2^assoc_bits.0 ..= 2^assoc_bits.1` at one block size.
     ///
     /// The flags of `options` map onto each policy's own toggles
-    /// ([`LanePolicy::options`]): FIFO consumes them all, LRU and tree-PLRU
+    /// (`LanePolicy::options`): FIFO consumes them all, LRU and tree-PLRU
     /// take the CRCB-style duplicate elision, SLRU takes none (elision is
     /// unsound for it and [`DewOptions::validate`] rejects the combination
     /// upstream).

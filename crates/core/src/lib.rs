@@ -98,7 +98,7 @@
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 mod cancel;
 mod checkpoint;
 mod counters;
@@ -119,6 +119,7 @@ mod sweep;
 mod timeline;
 mod tree;
 
+pub use arena::Arena;
 pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{
     sweep_fingerprint, CheckpointStore, FileCheckpointStore, JobCheckpoint, MemoryCheckpointStore,

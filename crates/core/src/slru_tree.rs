@@ -445,6 +445,11 @@ mod tests {
     }
 
     #[test]
+    fn bad_assoc_ranges_are_rejected() {
+        crate::arena::contract::bad_assoc::<SlruLanes>();
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the supported range")]
     fn sentinel_block_panics_in_batches() {
         crate::arena::contract::run_sentinel::<SlruLanes>(false);
