@@ -12,17 +12,21 @@
 //! annotations and the process exits nonzero (the chaos CI step uses this
 //! to make a resilience-layer slowdown a hard failure). A missing or
 //! unparsable baseline stays tolerated even under `--strict` — only a
-//! measured regression fails the run. When `GITHUB_STEP_SUMMARY` is set (it always is on GitHub
-//! runners), the guard additionally appends a markdown comparison table —
-//! variant, baseline steps/sec, fresh steps/sec, delta — to the job
-//! summary, so the trajectory is readable without opening the log, and the
-//! artifact upload of both JSON files makes it diffable per run.
+//! measured regression fails the run — but a missing or unparsable fresh
+//! document (this run's own output) always fails. Both documents are read
+//! with [`dew_bench::report::read_bench`]. When `GITHUB_STEP_SUMMARY` is
+//! set (it always is on GitHub runners), the guard additionally appends a
+//! markdown comparison table — variant, baseline steps/sec, fresh
+//! steps/sec, delta — to the job summary, so the trajectory is readable
+//! without opening the log, and the artifact upload of both JSON files
+//! makes it diffable per run.
 //!
 //! **Ratio gates** are always hard, `--strict` or not: speedup ratios in
 //! the fresh JSON compare two variants measured in the *same* run on the
 //! *same* machine, so runner-class noise cancels and a violation is a real
-//! kernel property, not a slow runner. Gated (when the fields are present;
-//! older baselines without them are skipped):
+//! kernel property, not a slow runner. They run on every fresh document
+//! that parses, with or without a baseline. Gated (when the fields are
+//! present; older documents without them are skipped):
 //!
 //! * `speedup_fused_vs_per_assoc >= 2.0` when the fresh run's
 //!   `kernel_backend` is `avx2` — the wide-scan fused FIFO walk must beat
@@ -34,6 +38,9 @@
 
 use std::process::ExitCode;
 
+use dew_bench::report::{read_bench, BenchDoc};
+use dew_explore::json::Json;
+
 /// Minimum fused-vs-per-assoc FIFO speedup on an `avx2` run (same-machine
 /// ratio, so gated hard).
 const FUSED_SPEEDUP_FLOOR: f64 = 2.0;
@@ -41,68 +48,22 @@ const FUSED_SPEEDUP_FLOOR: f64 = 2.0;
 /// ratio; the measured honest cost is ~5–6×).
 const INSTR_OVERHEAD_CEILING: f64 = 8.0;
 
-/// Extracts `(name, steps_per_sec)` pairs from a `BENCH_hot_loop.json`
-/// document. The format is the one `hot_loop.rs` writes: each variant
-/// object carries a `"name"` and a `"steps_per_sec"` field, in that order;
-/// anything else is ignored.
-fn parse_variants(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(i) = rest.find("\"name\": \"") {
-        rest = &rest[i + "\"name\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_owned();
-        rest = &rest[end..];
-        // The rate must belong to this object: stop at the object's end.
-        let object_end = rest.find('}').unwrap_or(rest.len());
-        if let Some(j) = rest[..object_end].find("\"steps_per_sec\": ") {
-            let num = rest[j + "\"steps_per_sec\": ".len()..object_end]
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect::<String>();
-            if let Ok(rate) = num.parse::<f64>() {
-                out.push((name, rate));
-            }
-        }
-    }
-    out
-}
-
-/// Extracts a top-level numeric field (`"key": 1.234`) from the JSON text.
-fn parse_scalar(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let i = text.find(&pat)?;
-    text[i + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect::<String>()
-        .parse()
-        .ok()
-}
-
-/// Extracts a top-level string field (`"key": "value"`) from the JSON text.
-fn parse_string(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let i = text.find(&pat)?;
-    let rest = &text[i + pat.len()..];
-    Some(rest[..rest.find('"')?].to_owned())
-}
-
 /// The hard same-run ratio gates (see the module docs): one error line per
 /// violated gate in the fresh JSON. Fields absent from older formats are
 /// skipped, never failed.
-fn ratio_gates(fresh: &str) -> Vec<String> {
+fn ratio_gates(fresh: &BenchDoc) -> Vec<String> {
     let mut out = Vec::new();
-    let backend = parse_string(fresh, "kernel_backend");
-    if let Some(speedup) = parse_scalar(fresh, "speedup_fused_vs_per_assoc") {
-        if backend.as_deref() == Some("avx2") && speedup < FUSED_SPEEDUP_FLOOR {
+    let scalar = |key: &str| fresh.scalars.get(key).and_then(Json::as_f64);
+    let backend = fresh.scalars.get("kernel_backend").and_then(Json::as_str);
+    if let Some(speedup) = scalar("speedup_fused_vs_per_assoc") {
+        if backend == Some("avx2") && speedup < FUSED_SPEEDUP_FLOOR {
             out.push(format!(
                 "speedup_fused_vs_per_assoc {speedup:.3} is below the \
                  {FUSED_SPEEDUP_FLOOR:.1} floor on an avx2 run"
             ));
         }
     }
-    if let Some(ratio) = parse_scalar(fresh, "instrumented_over_fast_fused_fifo") {
+    if let Some(ratio) = scalar("instrumented_over_fast_fused_fifo") {
         if ratio > INSTR_OVERHEAD_CEILING {
             out.push(format!(
                 "instrumented_over_fast_fused_fifo {ratio:.3} exceeds the \
@@ -192,6 +153,93 @@ fn write_step_summary(table: &str) {
     }
 }
 
+/// What the guard prints (log lines, and the step-summary table when both
+/// sides have variants) and whether the process fails.
+#[derive(Debug, Default)]
+struct Verdict {
+    lines: Vec<String>,
+    summary: Option<String>,
+    fail: bool,
+}
+
+/// Judges the fresh document against the committed baseline. Each side is
+/// the file's text or why it could not be read. The ratio gates run on
+/// every fresh document that parses; the throughput comparison is advisory
+/// (unless `strict`) and skipped when the baseline is missing, not JSON or
+/// without variants. A fresh document that is missing or not JSON fails.
+fn judge(
+    committed: Result<String, String>,
+    fresh: Result<String, String>,
+    strict: bool,
+    threshold: f64,
+) -> Verdict {
+    let parse = |text: Result<String, String>| {
+        Json::parse(&text?)
+            .map(|doc| read_bench(&doc))
+            .map_err(|e| format!("not JSON: {e}"))
+    };
+    let mut v = Verdict::default();
+    let now = match parse(fresh) {
+        Ok(doc) => doc,
+        Err(e) => {
+            v.lines.push(format!(
+                "::error::bench_guard: fresh document unusable — {e}"
+            ));
+            v.fail = true;
+            return v;
+        }
+    };
+    match parse(committed) {
+        // A missing baseline must not fail CI (first run on a fresh
+        // branch): warn and carry on to the gates.
+        Err(e) => v
+            .lines
+            .push(format!("::warning::bench_guard: baseline unusable — {e}")),
+        Ok(base) if base.variants.is_empty() || now.variants.is_empty() => {
+            v.lines.push(format!(
+                "::warning::bench_guard: no variants parsed (committed: {}, fresh: {})",
+                base.variants.len(),
+                now.variants.len()
+            ));
+        }
+        Ok(base) => {
+            v.summary = Some(summary_table(&base.variants, &now.variants, threshold));
+            let warnings = regressions(&base.variants, &now.variants, threshold);
+            for w in &warnings {
+                // Advisory by default: the committed baseline may come from
+                // a different machine class than this runner, so a drop is
+                // a prompt to compare trajectories, not a verdict. --strict
+                // makes it one.
+                v.lines.push(if strict {
+                    format!("::error::throughput regression — {w}")
+                } else {
+                    format!("::warning::hot_loop throughput regression — {w}")
+                });
+            }
+            if warnings.is_empty() {
+                v.lines.push(format!(
+                    "bench_guard: {} variants within {:.0}% of the committed baseline",
+                    now.variants.len(),
+                    threshold * 100.0
+                ));
+            }
+            v.fail = strict && !warnings.is_empty();
+        }
+    }
+    let gate_errors = ratio_gates(&now);
+    for g in &gate_errors {
+        // Same-run ratios are machine-relative: a violation is a kernel
+        // property, not runner noise, so these fail hard either way.
+        v.lines.push(format!("::error::ratio gate violated — {g}"));
+    }
+    if gate_errors.is_empty() {
+        v.lines
+            .push("bench_guard: same-run ratio gates hold".to_owned());
+    }
+    v.fail |= !gate_errors.is_empty();
+    v
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let strict = args.first().is_some_and(|a| a == "--strict");
@@ -206,65 +254,34 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(0.30);
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
-        Err(e) => {
-            // Missing baselines must not fail CI either (first run on a
-            // fresh branch): warn and carry on.
-            println!("::warning::bench_guard: cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(committed), Some(fresh)) = (read(committed_path), read(fresh_path)) else {
-        return ExitCode::SUCCESS;
-    };
-    let base = parse_variants(&committed);
-    let now = parse_variants(&fresh);
-    if base.is_empty() || now.is_empty() {
-        println!(
-            "::warning::bench_guard: no variants parsed (committed: {}, fresh: {})",
-            base.len(),
-            now.len()
-        );
-        return ExitCode::SUCCESS;
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let verdict = judge(read(committed_path), read(fresh_path), strict, threshold);
+    if let Some(table) = &verdict.summary {
+        write_step_summary(table);
     }
-    write_step_summary(&summary_table(&base, &now, threshold));
-    let warnings = regressions(&base, &now, threshold);
-    for w in &warnings {
-        // Advisory by default: the committed baseline may come from a
-        // different machine class than this runner, so a drop is a prompt
-        // to compare trajectories, not a verdict. --strict makes it one.
-        if strict {
-            println!("::error::throughput regression — {w}");
-        } else {
-            println!("::warning::hot_loop throughput regression — {w}");
-        }
+    for line in &verdict.lines {
+        println!("{line}");
     }
-    if warnings.is_empty() {
-        println!(
-            "bench_guard: {} variants within {:.0}% of the committed baseline",
-            now.len(),
-            threshold * 100.0
-        );
+    if verdict.fail {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    let gate_errors = ratio_gates(&fresh);
-    for g in &gate_errors {
-        // Same-run ratios are machine-relative: a violation is a kernel
-        // property, not runner noise, so these fail hard either way.
-        println!("::error::ratio gate violated — {g}");
-    }
-    if gate_errors.is_empty() {
-        println!("bench_guard: same-run ratio gates hold");
-    }
-    if !gate_errors.is_empty() || (strict && !warnings.is_empty()) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn doc(text: &str) -> BenchDoc {
+        read_bench(&Json::parse(text).expect("test documents are JSON"))
+    }
+
+    /// A file's text, or why it could not be read, as `main` passes it.
+    fn own(file: Result<&str, &str>) -> Result<String, String> {
+        file.map(str::to_owned).map_err(str::to_owned)
+    }
 
     const SAMPLE: &str = r#"{
   "bench": "hot_loop",
@@ -279,7 +296,7 @@ mod tests {
 
     #[test]
     fn parses_variant_rates_and_skips_shapes_without_rates() {
-        let v = parse_variants(SAMPLE);
+        let v = doc(SAMPLE).variants;
         assert_eq!(
             v,
             vec![
@@ -318,42 +335,37 @@ mod tests {
 
     #[test]
     fn parses_top_level_scalar_and_string_fields() {
-        assert_eq!(
-            parse_scalar(RATIOS, "speedup_fused_vs_per_assoc"),
-            Some(2.39)
-        );
-        assert_eq!(
-            parse_scalar(RATIOS, "instrumented_over_fast_fused_fifo"),
-            Some(5.95)
-        );
-        assert_eq!(parse_scalar(RATIOS, "absent_field"), None);
-        assert_eq!(
-            parse_string(RATIOS, "kernel_backend").as_deref(),
-            Some("avx2")
-        );
-        assert_eq!(parse_string(RATIOS, "absent_field"), None);
+        let scalars = doc(RATIOS).scalars;
+        let scalar = |key: &str| scalars.get(key).and_then(Json::as_f64);
+        let string = |key: &str| scalars.get(key).and_then(Json::as_str);
+        assert_eq!(scalar("speedup_fused_vs_per_assoc"), Some(2.39));
+        assert_eq!(scalar("instrumented_over_fast_fused_fifo"), Some(5.95));
+        assert_eq!(scalar("absent_field"), None);
+        assert_eq!(string("kernel_backend"), Some("avx2"));
+        assert_eq!(string("absent_field"), None);
     }
 
     #[test]
     fn ratio_gates_hold_on_the_tracked_numbers() {
-        assert!(ratio_gates(RATIOS).is_empty(), "{:?}", ratio_gates(RATIOS));
+        let e = ratio_gates(&doc(RATIOS));
+        assert!(e.is_empty(), "{e:?}");
     }
 
     #[test]
     fn low_fused_speedup_fails_only_on_avx2_runs() {
         let slow_avx2 = RATIOS.replace("2.39", "1.40");
-        let e = ratio_gates(&slow_avx2);
+        let e = ratio_gates(&doc(&slow_avx2));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(e[0].contains("speedup_fused_vs_per_assoc 1.400"), "{e:?}");
         // The same ratio on a scalar run is expected (no wide scans): no gate.
         let slow_scalar = slow_avx2.replace("avx2", "scalar");
-        assert!(ratio_gates(&slow_scalar).is_empty());
+        assert!(ratio_gates(&doc(&slow_scalar)).is_empty());
     }
 
     #[test]
     fn runaway_instrumentation_overhead_fails_on_any_backend() {
         let heavy = RATIOS.replace("5.95", "9.10").replace("avx2", "scalar");
-        let e = ratio_gates(&heavy);
+        let e = ratio_gates(&doc(&heavy));
         assert_eq!(e.len(), 1, "{e:?}");
         assert!(
             e[0].contains("instrumented_over_fast_fused_fifo 9.100"),
@@ -363,7 +375,49 @@ mod tests {
 
     #[test]
     fn json_without_ratio_fields_is_not_gated() {
-        assert!(ratio_gates(SAMPLE).is_empty());
+        assert!(ratio_gates(&doc(SAMPLE)).is_empty());
+    }
+
+    #[test]
+    fn ratio_gates_run_without_a_usable_baseline() {
+        let heavy = RATIOS.replace("5.95", "9.10");
+        for baseline in [Err("cannot read BENCH_hot_loop.json"), Ok("{"), Ok("{}")] {
+            let v = judge(own(baseline), own(Ok(&heavy)), false, 0.30);
+            assert!(v.fail, "{:?}", v.lines);
+            assert!(v.lines[0].starts_with("::warning::"), "{:?}", v.lines);
+            assert!(v.lines.iter().any(|l| l.contains("9.100")), "{:?}", v.lines);
+            assert!(v.summary.is_none());
+        }
+        // A fresh document without variants is still gated.
+        let v = judge(own(Ok(SAMPLE)), own(Ok(&heavy)), true, 0.30);
+        assert!(
+            v.fail && v.lines[0].contains("no variants"),
+            "{:?}",
+            v.lines
+        );
+        // The tolerated cases pass when the gates hold.
+        assert!(!judge(own(Err("gone")), own(Ok(RATIOS)), true, 0.30).fail);
+    }
+
+    #[test]
+    fn an_unusable_fresh_document_fails() {
+        for fresh in [Err("cannot read BENCH_hot_loop.fresh.json"), Ok("not json")] {
+            let v = judge(own(Ok(SAMPLE)), own(fresh), false, 0.30);
+            assert!(v.fail, "{:?}", v.lines);
+            assert!(v.lines[0].starts_with("::error::"), "{:?}", v.lines);
+        }
+    }
+
+    #[test]
+    fn regressions_fail_only_under_strict() {
+        let slow = SAMPLE.replace("19817516", "9817516");
+        let advisory = judge(own(Ok(SAMPLE)), own(Ok(&slow)), false, 0.30);
+        assert!(!advisory.fail, "{:?}", advisory.lines);
+        assert!(advisory.lines[0].starts_with("::warning::hot_loop throughput regression — step:"));
+        assert!(advisory.summary.is_some());
+        let strict = judge(own(Ok(SAMPLE)), own(Ok(&slow)), true, 0.30);
+        assert!(strict.fail);
+        assert!(strict.lines[0].starts_with("::error::throughput regression — step:"));
     }
 
     #[test]

@@ -42,15 +42,15 @@
 //! path defaults to `BENCH_hot_loop.json` and can be overridden with
 //! `DEW_BENCH_JSON=path`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use dew_bench::report::thousands;
+use dew_bench::report::{write_bench, Variant};
 use dew_bench::suite::SuiteScale;
 use dew_core::lru_tree::{LruTreeOptions, LruTreeSimulator};
 use dew_core::plru_tree::{PlruTreeOptions, PlruTreeSimulator};
 use dew_core::slru_tree::SlruTreeSimulator;
 use dew_core::{ConfigSpace, DewOptions, DewTree, MultiAssocTree, PassConfig, TreePolicy};
+use dew_explore::json::{fixed, num, obj, str, Json};
 use dew_explore::{explore_trace, EnergyModel, ExplorationSpace, ParetoMode};
 use dew_trace::{decode_blocks, BlockChunks};
 use dew_workloads::mediabench::App;
@@ -64,12 +64,6 @@ const ASSOC: u32 = 4;
 const FUSED_MAX_ASSOC: u32 = 8;
 /// Associativities needing their own pass pre-fusion (1 rides along).
 const PER_ASSOC_PASSES: [u32; 3] = [2, 4, 8];
-
-struct Variant {
-    name: &'static str,
-    ns_per_step: f64,
-    steps_per_sec: f64,
-}
 
 /// Best-of-N wall time for `run`, in seconds.
 fn best_of<F: FnMut()>(samples: u32, mut run: F) -> f64 {
@@ -119,17 +113,8 @@ fn main() {
             }
             assert_eq!(tree.results(), reference, "{name}: miss counts diverged");
         });
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / n,
-            steps_per_sec: n / secs,
-        };
-        println!(
-            "{:<24} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
+        let v = Variant::timed(name, n, secs);
+        println!("{v}");
         variants.push(v);
     };
 
@@ -156,17 +141,8 @@ fn main() {
         t.results()
     };
     let mut record_variant = |name: &'static str, secs: f64| {
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / n,
-            steps_per_sec: n / secs,
-        };
-        println!(
-            "{:<28} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
+        let v = Variant::timed(name, n, secs);
+        println!("{v}");
         variants.push(v);
     };
 
@@ -446,17 +422,8 @@ fn main() {
             );
         });
         let steps = n * explore_traversals as f64;
-        let v = Variant {
-            name,
-            ns_per_step: secs * 1e9 / steps,
-            steps_per_sec: steps / secs,
-        };
-        println!(
-            "{:<28} {:>8.2} ns/step  {:>10} steps/s",
-            v.name,
-            v.ns_per_step,
-            thousands(v.steps_per_sec as u64)
-        );
+        let v = Variant::timed(name, steps, secs);
+        println!("{v}");
         variants.push(v);
     }
 
@@ -486,85 +453,54 @@ fn main() {
     let backend = dew_core::KernelBackend::active();
     println!("tag-scan backend: {}", backend.name());
 
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"hot_loop\",");
-    let _ = writeln!(json, "  \"unix_time\": {unix_time},");
-    let _ = writeln!(json, "  \"app\": \"{}\",", app.name());
-    let _ = writeln!(json, "  \"requests\": {requests},");
-    let _ = writeln!(json, "  \"samples\": {samples},");
-    let _ = writeln!(json, "  \"kernel_backend\": \"{}\",", backend.name());
-    let _ = writeln!(
-        json,
-        "  \"pass\": {{\"block_bits\": {BLOCK_BITS}, \"min_set_bits\": {}, \
-         \"max_set_bits\": {}, \"assoc\": {ASSOC}}},",
-        SET_BITS.0, SET_BITS.1
-    );
-    json.push_str("  \"variants\": [\n");
-    for (i, v) in variants.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"ns_per_step\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
-            v.name,
-            v.ns_per_step,
-            v.steps_per_sec,
-            if i + 1 < variants.len() { "," } else { "" }
-        );
+    let shape = |name: String, traversals: u64| {
+        obj([("name", str(name)), ("trace_traversals", num(traversals))])
+    };
+    let mut sweep_shapes = Vec::new();
+    for policy in ["", "lru_", "plru_", "slru_"] {
+        sweep_shapes.push(shape(
+            format!("{policy}per_assoc_passes_a1_{FUSED_MAX_ASSOC}"),
+            PER_ASSOC_PASSES.len() as u64,
+        ));
+        sweep_shapes.push(shape(format!("{policy}fused_a1_{FUSED_MAX_ASSOC}"), 1));
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"sweep_shapes\": [\n    {{\"name\": \"per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \"fused_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": 1}},\n    {{\"name\": \
-         \"lru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"lru_fused_a1_{FUSED_MAX_ASSOC}\", \"trace_traversals\": 1}},\n    \
-         {{\"name\": \"plru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"plru_fused_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": 1}},\n    {{\"name\": \
-         \"slru_per_assoc_passes_a1_{FUSED_MAX_ASSOC}\", \
-         \"trace_traversals\": {n_passes}}},\n    {{\"name\": \
-         \"slru_fused_a1_{FUSED_MAX_ASSOC}\", \"trace_traversals\": 1}},\n    \
-         {{\"name\": \"explore_s11_b3_a4_fifo_lru\", \
-         \"trace_traversals\": {explore_traversals}}}\n  ],",
-        n_passes = PER_ASSOC_PASSES.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_run_blocks_vs_instrumented\": {speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_vs_per_assoc\": {fused_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_lru_vs_per_assoc\": {fused_lru_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_plru_vs_per_assoc\": {fused_plru_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_fused_slru_vs_per_assoc\": {fused_slru_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"instrumented_over_fast_fused_fifo\": {instr_overhead:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"explore_pruned_vs_exhaustive\": {explore_ratio:.3}"
-    );
-    json.push_str("}\n");
-
-    let path = std::env::var("DEW_BENCH_JSON").unwrap_or_else(|_| "BENCH_hot_loop.json".into());
-    std::fs::write(&path, json).expect("write bench json");
+    sweep_shapes.push(shape(
+        "explore_s11_b3_a4_fifo_lru".to_owned(),
+        explore_traversals,
+    ));
+    let pass = obj([
+        ("block_bits", num(BLOCK_BITS.into())),
+        ("min_set_bits", num(SET_BITS.0.into())),
+        ("max_set_bits", num(SET_BITS.1.into())),
+        ("assoc", num(ASSOC.into())),
+    ]);
+    let fields = [
+        ("app", str(app.name())),
+        ("requests", num(requests)),
+        ("samples", num(samples.into())),
+        ("kernel_backend", str(backend.name())),
+        ("pass", pass),
+        ("sweep_shapes", Json::Arr(sweep_shapes)),
+        ("speedup_run_blocks_vs_instrumented", fixed(speedup, 3)),
+        ("speedup_fused_vs_per_assoc", fixed(fused_speedup, 3)),
+        (
+            "speedup_fused_lru_vs_per_assoc",
+            fixed(fused_lru_speedup, 3),
+        ),
+        (
+            "speedup_fused_plru_vs_per_assoc",
+            fixed(fused_plru_speedup, 3),
+        ),
+        (
+            "speedup_fused_slru_vs_per_assoc",
+            fixed(fused_slru_speedup, 3),
+        ),
+        (
+            "instrumented_over_fast_fused_fifo",
+            fixed(instr_overhead, 3),
+        ),
+        ("explore_pruned_vs_exhaustive", fixed(explore_ratio, 3)),
+    ];
+    let path = write_bench("hot_loop", fields, &variants).expect("write bench json");
     println!("wrote {path}");
 }

@@ -25,9 +25,10 @@
 //! (flaky opens + transient read faults + injected latency), which the
 //! workers must absorb via retries without breaking any of the above.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
+use dew_bench::report::{write_bench, Variant};
+use dew_explore::json::{fixed, num, Json};
 use dew_serve::gen::fetch_stats;
 use dew_serve::{run_gen, GenConfig, GenReport, ServeConfig, Server};
 use dew_workloads::traffic::MixKind;
@@ -158,34 +159,18 @@ fn main() {
     shutdown_under_load(chaos);
     println!("serve soak passed: no lost responses, bounded shed, clean drain");
 
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"serve_soak\",");
-    let _ = writeln!(json, "  \"unix_time\": {unix_time},");
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
-    let _ = writeln!(json, "  \"requests_per_job\": {requests},");
-    let _ = writeln!(json, "  \"chaos\": {chaos},");
-    let _ = writeln!(json, "  \"completed\": {},", report.completed);
-    let _ = writeln!(
-        json,
-        "  \"rejected_overloaded\": {},",
-        report.rejected_overloaded
-    );
-    let _ = writeln!(json, "  \"p50_ms\": {:.1},", report.percentile_ms(50.0));
-    let _ = writeln!(json, "  \"p95_ms\": {:.1},", report.percentile_ms(95.0));
-    let _ = writeln!(json, "  \"p99_ms\": {:.1},", report.percentile_ms(99.0));
-    json.push_str("  \"variants\": [\n");
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"closed_loop_jobs\", \"steps_per_sec\": {:.3}}}",
-        report.jobs_per_sec()
-    );
-    json.push_str("  ]\n}\n");
-
-    let path = std::env::var("DEW_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve_soak.json".into());
-    std::fs::write(&path, json).expect("write bench json");
+    let fields = [
+        ("jobs", num(jobs)),
+        ("requests_per_job", num(requests)),
+        ("chaos", Json::Bool(chaos)),
+        ("completed", num(report.completed)),
+        ("rejected_overloaded", num(report.rejected_overloaded)),
+        ("p50_ms", fixed(report.percentile_ms(50.0), 1)),
+        ("p95_ms", fixed(report.percentile_ms(95.0), 1)),
+        ("p99_ms", fixed(report.percentile_ms(99.0), 1)),
+    ];
+    let secs = report.elapsed.as_secs_f64();
+    let closed_loop = Variant::timed("closed_loop_jobs", report.completed as f64, secs);
+    let path = write_bench("serve_soak", fields, &[closed_loop]).expect("write bench json");
     println!("wrote {path}");
 }

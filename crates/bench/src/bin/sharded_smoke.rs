@@ -22,11 +22,11 @@
 //! resume to the same table as the uninterrupted baseline. The sidecar
 //! (`chaos_checkpoint.dewc`) is left behind on failure for CI to upload.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use dew_bench::report::thousands;
+use dew_bench::report::{thousands, write_bench, Variant};
 use dew_core::{ConfigSpace, DewOptions, ShardMode, ShardSpec, SweepRequest};
+use dew_explore::json::{fixed, num};
 use dew_trace::{Record, TraceError};
 use dew_workloads::zipf::Zipf;
 use rand::rngs::SmallRng;
@@ -210,15 +210,11 @@ fn main() {
         .map(|r| r.expect("synthetic stream never fails"))
         .collect();
 
-    let mut variants: Vec<(&'static str, f64, f64)> = Vec::new();
+    let mut variants = Vec::new();
     let mut record_variant = |name: &'static str, steps: f64, secs: f64| {
-        println!(
-            "{:<22} {:>8.2} ns/step  {:>12} steps/s",
-            name,
-            secs * 1e9 / steps,
-            thousands((steps / secs) as u64)
-        );
-        variants.push((name, secs * 1e9 / steps, steps / secs));
+        let v = Variant::timed(name, steps, secs);
+        println!("{v}");
+        variants.push(v);
     };
 
     // Sequential fused sweeps, both policies: the references.
@@ -320,32 +316,15 @@ fn main() {
         );
     }
 
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"sharded_smoke\",");
-    let _ = writeln!(json, "  \"unix_time\": {unix_time},");
-    let _ = writeln!(json, "  \"requests\": {requests},");
-    let _ = writeln!(json, "  \"stream_requests\": {stream_requests},");
-    let _ = writeln!(json, "  \"shards\": {SHARDS},");
-    let _ = writeln!(json, "  \"overlap\": {overlap},");
-    let _ = writeln!(json, "  \"vm_hwm_kib\": {hwm_kib},");
-    let _ = writeln!(json, "  \"memory_bound_mib\": {MEMORY_BOUND_MIB},");
-    let _ = writeln!(json, "  \"warmup_worst_relative_error\": {worst_rel:.6},");
-    json.push_str("  \"variants\": [\n");
-    for (i, (name, ns, rate)) in variants.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"ns_per_step\": {ns:.3}, \"steps_per_sec\": {rate:.0}}}{}",
-            if i + 1 < variants.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path =
-        std::env::var("DEW_BENCH_JSON").unwrap_or_else(|_| "BENCH_sharded_smoke.json".into());
-    std::fs::write(&path, json).expect("write bench json");
+    let fields = [
+        ("requests", num(requests)),
+        ("stream_requests", num(stream_requests)),
+        ("shards", num(SHARDS as u64)),
+        ("overlap", num(overlap as u64)),
+        ("vm_hwm_kib", num(hwm_kib)),
+        ("memory_bound_mib", num(MEMORY_BOUND_MIB)),
+        ("warmup_worst_relative_error", fixed(worst_rel, 6)),
+    ];
+    let path = write_bench("sharded_smoke", fields, &variants).expect("write bench json");
     println!("wrote {path}");
 }

@@ -689,7 +689,7 @@ fn explore(args: &Args) -> Result<String, CliError> {
     }
 
     if let Some(path) = args.get("json") {
-        std::fs::write(path, report.to_json())?;
+        std::fs::write(path, report.to_json().emit_pretty())?;
         out.push_str(&format!("\njson written to {path}\n"));
     }
     if let Some(path) = args.get("csv") {
@@ -948,7 +948,7 @@ fn gen(args: &Args) -> Result<String, CliError> {
         out.push_str(&format!("server stats: {}\n", stats.emit()));
     }
     if let Some(path) = args.get("json") {
-        std::fs::write(path, report.to_json().emit())?;
+        std::fs::write(path, report.to_json().emit_pretty())?;
         out.push_str(&format!("json written to {path}\n"));
     }
     Ok(out)

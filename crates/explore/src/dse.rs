@@ -38,6 +38,7 @@ use dew_trace::Record;
 
 use crate::energy::EnergyModel;
 use crate::explore::{evaluate_sweep, non_dominated, Evaluation};
+use crate::json::{fixed, num, obj, str, Json};
 
 /// How [`explore_trace`] extracts the Pareto frontier. See the module docs
 /// for the soundness argument; both modes produce the identical frontier.
@@ -291,48 +292,41 @@ impl ExplorationReport {
             .collect()
     }
 
-    /// Renders the full report as a self-contained JSON document (points
-    /// array with a `pareto` flag per point, plus the work accounting).
+    /// The full report as a self-contained JSON document (points array
+    /// with a `pareto` flag per point, plus the work accounting).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
-        let _ = writeln!(out, "  \"accesses\": {},", self.accesses);
-        let _ = writeln!(out, "  \"trace_traversals\": {},", self.trace_traversals);
-        let _ = writeln!(out, "  \"candidates\": {},", self.candidates);
-        let _ = writeln!(out, "  \"over_budget\": {},", self.over_budget);
-        let _ = writeln!(out, "  \"pruned_dominated\": {},", self.pruned_dominated);
-        let _ = writeln!(out, "  \"sweep_seconds\": {:.6},", self.sweep_seconds);
-        let _ = writeln!(
-            out,
-            "  \"frontier_size\": {},",
-            self.points.iter().filter(|p| p.on_frontier).count()
-        );
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let e = &p.evaluation;
-            let _ = writeln!(
-                out,
-                "    {{\"policy\": \"{}\", \"sets\": {}, \"assoc\": {}, \
-                 \"block_bytes\": {}, \"bytes\": {}, \"misses\": {}, \
-                 \"miss_rate\": {:.6}, \"energy_nj\": {:.3}, \"cycles\": {}, \
-                 \"pareto\": {}}}{}",
-                p.policy,
-                e.geometry.sets,
-                e.geometry.assoc,
-                e.geometry.block_bytes,
-                e.geometry.total_bytes(),
-                e.misses,
-                e.miss_rate(),
-                e.energy_nj,
-                e.cycles,
-                p.on_frontier,
-                if i + 1 < self.points.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let points = self
+            .points
+            .iter()
+            .map(|p| {
+                let e = &p.evaluation;
+                obj([
+                    ("policy", str(p.policy.to_string())),
+                    ("sets", num(e.geometry.sets.into())),
+                    ("assoc", num(e.geometry.assoc.into())),
+                    ("block_bytes", num(e.geometry.block_bytes.into())),
+                    ("bytes", num(e.geometry.total_bytes())),
+                    ("misses", num(e.misses)),
+                    ("miss_rate", fixed(e.miss_rate(), 6)),
+                    ("energy_nj", fixed(e.energy_nj, 3)),
+                    ("cycles", num(e.cycles)),
+                    ("pareto", Json::Bool(p.on_frontier)),
+                ])
+            })
+            .collect();
+        let frontier_size = self.points.iter().filter(|p| p.on_frontier).count();
+        obj([
+            ("mode", str(self.mode.to_string())),
+            ("accesses", num(self.accesses)),
+            ("trace_traversals", num(self.trace_traversals)),
+            ("candidates", num(self.candidates)),
+            ("over_budget", num(self.over_budget)),
+            ("pruned_dominated", num(self.pruned_dominated)),
+            ("sweep_seconds", fixed(self.sweep_seconds, 6)),
+            ("frontier_size", num(frontier_size as u64)),
+            ("points", Json::Arr(points)),
+        ])
     }
 
     /// Renders every point as CSV
@@ -710,7 +704,7 @@ mod tests {
             1,
         )
         .expect("explore");
-        let json = report.to_json();
+        let json = report.to_json().emit_pretty();
         assert!(json.starts_with("{\n") && json.trim_end().ends_with('}'));
         assert!(json.contains("\"trace_traversals\": 4"), "{json}");
         assert!(json.contains("\"pareto\": true"));

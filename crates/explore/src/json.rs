@@ -1,10 +1,15 @@
-//! A minimal JSON value: just enough for the line-delimited `dew serve`
-//! protocol, with no third-party dependency (the workspace builds offline).
+//! The workspace's one JSON module: the `dew serve` line protocol, the
+//! `dew explore --json` report and the bench binaries' `BENCH_*.json`
+//! files all build and read [`Json`] values, with no third-party
+//! dependency (the workspace builds offline).
 //!
 //! Supports the full JSON grammar except scientific-notation emission;
 //! parsing accepts any RFC 8259 number. Strings escape the mandatory set
 //! (`"`, `\`, control characters) on output and understand the standard
-//! escapes plus `\uXXXX` (surrogate pairs included) on input.
+//! escapes plus `\uXXXX` (surrogate pairs included) on input. [`Json::emit`]
+//! writes one compact line (the protocol); [`Json::emit_pretty`] writes an
+//! indented document (files). Non-finite numbers, which JSON cannot
+//! represent, are written as `null`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -74,6 +79,18 @@ impl Json {
         Ok(v)
     }
 
+    /// Sets member `key`, for objects built a field at a time.
+    ///
+    /// # Panics
+    ///
+    /// When `self` is not an object.
+    pub fn insert(&mut self, key: &str, value: Json) {
+        let Json::Obj(members) = self else {
+            panic!("insert `{key}` into a JSON value that is not an object");
+        };
+        members.insert(key.to_owned(), value);
+    }
+
     /// Member lookup; `None` for non-objects and missing keys.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -127,15 +144,30 @@ impl Json {
     #[must_use]
     pub fn emit(&self) -> String {
         let mut out = String::new();
-        self.emit_into(&mut out);
+        self.emit_into(&mut out, None);
         out
     }
 
-    fn emit_into(&self, out: &mut String) {
+    /// Serialises for a file: one member or element per line, indented by
+    /// two spaces per level, `": "` after keys, keys sorted, and a final
+    /// newline. Nested arrays and objects holding only scalars stay on one
+    /// line, `", "`-separated.
+    #[must_use]
+    pub fn emit_pretty(&self) -> String {
+        let mut out = String::new();
+        self.emit_into(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// `depth` is the indent level of the line this value starts on, or
+    /// `None` for compact output.
+    fn emit_into(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
                     let _ = write!(out, "{}", *n as i64);
@@ -144,34 +176,63 @@ impl Json {
                 }
             }
             Json::Str(s) => emit_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.emit_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    emit_str(k, out);
-                    out.push(':');
-                    v.emit_into(out);
-                }
-                out.push('}');
-            }
+            Json::Arr(items) => emit_seq(out, depth, ['[', ']'], items.iter().map(|v| (None, v))),
+            Json::Obj(map) => emit_seq(
+                out,
+                depth,
+                ['{', '}'],
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 }
 
+/// Writes an array (keys `None`) or an object between `brackets`. Pretty
+/// output puts each member on its own line, except that a nested sequence
+/// of scalars stays on one line (`{"name": "x", "steps_per_sec": 2}`).
+fn emit_seq<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) {
+    let newline = |out: &mut String, depth: Option<usize>| {
+        if let Some(depth) = depth {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+    };
+    let flat = depth.is_some_and(|d| d > 0)
+        && items
+            .clone()
+            .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let (inner, close) = if flat {
+        (None, None)
+    } else {
+        (depth.map(|d| d + 1), depth)
+    };
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push_str(if flat { ", " } else { "," });
+        }
+        empty = false;
+        newline(out, inner);
+        if let Some(key) = key {
+            emit_str(key, out);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        value.emit_into(out, inner);
+    }
+    if !empty {
+        newline(out, close);
+    }
+    out.push(brackets[1]);
+}
+
 /// Builds a [`Json::Obj`] from `(key, value)` pairs.
-pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+pub fn obj<'a>(pairs: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
@@ -180,6 +241,14 @@ pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
 #[allow(clippy::cast_precision_loss)]
 pub fn num(n: u64) -> Json {
     Json::Num(n as f64)
+}
+
+/// Shorthand for a measured figure rounded to `places` decimals, so a
+/// file carries no more digits than the measurement has.
+#[must_use]
+pub fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
 }
 
 /// Shorthand for a string member.
@@ -394,9 +463,6 @@ impl Parser<'_> {
         let s = std::str::from_utf8(chunk).map_err(|_| self.err("bad \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos = end;
-        // Caller advances past the escape; position the cursor on the last
-        // consumed byte so the shared `self.pos += 1` below the match in
-        // `string` is not double-applied (we `continue` instead).
         Ok(v)
     }
 
@@ -425,9 +491,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -499,12 +567,39 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
+    fn non_finite_numbers_emit_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = Json::Arr(vec![Json::Num(n)]);
+            assert_eq!(v.emit(), "[null]");
+            assert_eq!(
+                Json::parse(&v.emit_pretty()),
+                Ok(Json::Arr(vec![Json::Null]))
+            );
+        }
+    }
+
+    #[test]
+    fn pretty_emission_indents_and_re_parses() {
         let v = obj([
-            ("ok", Json::Bool(true)),
-            ("id", num(7)),
-            ("status", str("queued")),
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "points",
+                Json::Arr(vec![obj([("a", num(1)), ("b", fixed(0.123_456_7, 3))])]),
+            ),
+            ("name", str("x")),
         ]);
+        assert_eq!(
+            v.emit_pretty(),
+            "{\n  \"empty\": [],\n  \"name\": \"x\",\n  \"points\": [\n    \
+             {\"a\": 1, \"b\": 0.123}\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&v.emit_pretty()), Ok(v));
+    }
+
+    #[test]
+    fn builders_compose() {
+        let mut v = obj([("ok", Json::Bool(true)), ("id", num(7))]);
+        v.insert("status", str("queued"));
         assert_eq!(v.emit(), r#"{"id":7,"ok":true,"status":"queued"}"#);
     }
 }

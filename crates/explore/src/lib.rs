@@ -19,6 +19,8 @@
 //!   helpers for the usual embedded design questions;
 //! * [`MissRateCurve`] — the designer's per-axis view (knee and saturation
 //!   detection).
+//! * [`json`] — the workspace's one JSON module (parser, compact and
+//!   indented emitters), shared with `dew serve` and the bench binaries.
 //!
 //! # Examples
 //!
@@ -67,6 +69,7 @@ mod curves;
 mod dse;
 mod energy;
 mod explore;
+pub mod json;
 
 pub use curves::{CurvePoint, MissRateCurve};
 pub use dse::{

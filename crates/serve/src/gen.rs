@@ -309,18 +309,19 @@ impl std::fmt::Display for GenReport {
 }
 
 fn submit_body(cfg: &GenConfig, job_index: u64) -> Json {
-    let mut m = std::collections::BTreeMap::new();
-    m.insert("cmd".to_owned(), str("submit"));
-    m.insert("mix".to_owned(), str(cfg.mix.name()));
-    m.insert("requests".to_owned(), num(cfg.requests));
-    m.insert("seed".to_owned(), num(cfg.seed + job_index));
+    let mut v = obj([
+        ("cmd", str("submit")),
+        ("mix", str(cfg.mix.name())),
+        ("requests", num(cfg.requests)),
+        ("seed", num(cfg.seed + job_index)),
+    ]);
     if let Some(ms) = cfg.deadline_ms {
-        m.insert("deadline_ms".to_owned(), num(ms));
+        v.insert("deadline_ms", num(ms));
     }
     if cfg.chaos {
-        m.insert("chaos".to_owned(), Json::Bool(true));
+        v.insert("chaos", Json::Bool(true));
     }
-    Json::Obj(m)
+    v
 }
 
 /// Drives one job to its client-visible end state.

@@ -24,8 +24,9 @@
 //!   responses under overload, chaos, and shutdown.
 //!
 //! The wire protocol is line-delimited JSON over TCP ([`protocol`]),
-//! parsed with a small vendored-free JSON module ([`json`]) because the
-//! build environment is offline. No async runtime anywhere: blocking
+//! parsed with the workspace's one JSON module, `dew_explore::json`
+//! (re-exported here as [`json`]), because the build environment is
+//! offline. No async runtime anywhere: blocking
 //! threads, `Mutex`/`Condvar`, and a nonblocking accept poll.
 //!
 //! # Example
@@ -55,13 +56,13 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 #[allow(unsafe_code)]
 pub mod signal;
 
+pub use dew_explore::json;
 pub use gen::{run_gen, Client, GenConfig, GenReport, JobOutcome};
 pub use protocol::{JobKind, Request, SubmitRequest};
 pub use server::{DrainReport, ServeConfig, Server};

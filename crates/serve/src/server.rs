@@ -554,9 +554,7 @@ impl Inner {
                 Some(entry) => {
                     let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                         let mut v = status_json(id, entry);
-                        if let Json::Obj(m) = &mut v {
-                            m.insert("timed_out".to_owned(), Json::Bool(true));
-                        }
+                        v.insert("timed_out", Json::Bool(true));
                         return v;
                     };
                     jobs = self
@@ -620,12 +618,13 @@ fn unknown_id(id: u64) -> Json {
 }
 
 fn status_json(id: u64, entry: &JobEntry) -> Json {
-    let mut m = match &entry.state {
-        JobState::Completed { summary } => {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert("result".to_owned(), summary.clone());
-            m
-        }
+    let mut v = obj([
+        ("ok", Json::Bool(true)),
+        ("id", num(id)),
+        ("status", str(entry.state.name())),
+    ]);
+    match &entry.state {
+        JobState::Completed { summary } => v.insert("result", summary.clone()),
         JobState::DeadlineExceeded {
             records_done,
             checkpointed,
@@ -634,31 +633,22 @@ fn status_json(id: u64, entry: &JobEntry) -> Json {
             records_done,
             checkpointed,
         } => {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert("records_done".to_owned(), num(*records_done));
-            m.insert("checkpointed".to_owned(), Json::Bool(*checkpointed));
-            m
+            v.insert("records_done", num(*records_done));
+            v.insert("checkpointed", Json::Bool(*checkpointed));
         }
-        JobState::Failed { error } => {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert("error".to_owned(), str(error.clone()));
-            m
-        }
-        _ => std::collections::BTreeMap::new(),
-    };
-    m.insert("ok".to_owned(), Json::Bool(true));
-    m.insert("id".to_owned(), num(id));
-    m.insert("status".to_owned(), str(entry.state.name()));
+        JobState::Failed { error } => v.insert("error", str(error.clone())),
+        _ => {}
+    }
     #[allow(clippy::cast_possible_truncation)]
     if let Some(started) = entry.started {
         let queued_ms = started.duration_since(entry.submitted).as_millis() as u64;
-        m.insert("queued_ms".to_owned(), num(queued_ms));
+        v.insert("queued_ms", num(queued_ms));
         if let Some(finished) = entry.finished {
             let run_ms = finished.duration_since(started).as_millis() as u64;
-            m.insert("run_ms".to_owned(), num(run_ms));
+            v.insert("run_ms", num(run_ms));
         }
     }
-    Json::Obj(m)
+    v
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
@@ -941,28 +931,30 @@ fn summarise(
 }
 
 fn summary_json(req: &SubmitRequest, out: &SweepOutcome) -> Json {
-    let mut m = std::collections::BTreeMap::new();
-    m.insert("configs".to_owned(), num(out.config_count() as u64));
-    m.insert("accesses".to_owned(), num(out.accesses()));
-    m.insert("records_simulated".to_owned(), num(out.records_simulated()));
-    m.insert("traversals".to_owned(), num(out.trace_traversals()));
-    m.insert("retries".to_owned(), num(out.retries()));
+    let mut v = obj([
+        ("configs", num(out.config_count() as u64)),
+        ("accesses", num(out.accesses())),
+        ("records_simulated", num(out.records_simulated())),
+        ("traversals", num(out.trace_traversals())),
+        ("retries", num(out.retries())),
+    ]);
     if req.kind == JobKind::Explore {
         let evals = evaluate_sweep(out, &EnergyModel::default());
         let front = pareto_front(&evals);
-        m.insert("pareto_front".to_owned(), num(front.len() as u64));
+        v.insert("pareto_front", num(front.len() as u64));
         if let Some(best) = best_edp_under(&evals, 64 * 1024) {
-            m.insert(
-                "best_edp".to_owned(),
+            let g = best.geometry;
+            v.insert(
+                "best_edp",
                 obj([
-                    ("sets", num(u64::from(best.geometry.sets))),
-                    ("assoc", num(u64::from(best.geometry.assoc))),
-                    ("block_bytes", num(u64::from(best.geometry.block_bytes))),
+                    ("sets", num(g.sets.into())),
+                    ("assoc", num(g.assoc.into())),
+                    ("block_bytes", num(g.block_bytes.into())),
                 ]),
             );
         }
     }
-    Json::Obj(m)
+    v
 }
 
 #[cfg(test)]

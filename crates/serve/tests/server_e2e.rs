@@ -503,3 +503,71 @@ fn open_loop_gen_against_a_small_server_reconciles() {
     );
     server.stop();
 }
+
+#[test]
+fn slow_loris_connection_does_not_stall_other_clients() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    // Each byte arrives well inside the read timeout, but a whole line
+    // takes longer than it: the trickler must neither be dropped nor hold
+    // up anyone else.
+    let io_timeout = Duration::from_secs(1);
+    let (server, addr) = start(ServeConfig {
+        workers: 2,
+        queue_capacity: 4,
+        io_timeout,
+        ..ServeConfig::default()
+    });
+    let gen_done = Arc::new(AtomicBool::new(false));
+    let loris = {
+        let (addr, gen_done) = (addr.clone(), Arc::clone(&gen_done));
+        std::thread::spawn(move || {
+            let stream = std::net::TcpStream::connect(&addr).expect("connects");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            let line = b"{\"cmd\":\"health\"}\n";
+            let per_byte = io_timeout / 10;
+            assert!(per_byte * line.len() as u32 > io_timeout);
+            let mut answered = 0;
+            while answered == 0 || !gen_done.load(Ordering::Acquire) {
+                for byte in line {
+                    writer.write_all(&[*byte]).expect("trickle");
+                    std::thread::sleep(per_byte);
+                }
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("one response line");
+                let health = Json::parse(response.trim()).expect("a JSON response");
+                assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+                answered += 1;
+            }
+            answered
+        })
+    };
+
+    let report = run_gen(&GenConfig {
+        addr: addr.clone(),
+        jobs: 12,
+        concurrency: 3,
+        mix: MixKind::Loop,
+        requests: 30_000,
+        io_timeout: Duration::from_secs(5),
+        ..GenConfig::default()
+    });
+    gen_done.store(true, Ordering::Release);
+    let answered = loris.join().expect("the trickling client is served");
+    assert!(answered >= 1);
+
+    assert_eq!(report.submitted, 12);
+    assert!(report.reconciles(), "{report}");
+    assert_eq!(report.transport_errors, 0, "{report}");
+    assert_eq!(report.wait_timeouts, 0, "{report}");
+    let stats = fetch_stats(&addr, Duration::from_secs(5)).expect("stats");
+    assert_eq!(stat(&stats, "malformed"), 0);
+    let drain = server.stop();
+    assert_eq!(drain.in_flight, 0, "nothing was running at shutdown");
+}

@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all("results")?;
     let json_path = "results/exploration_mpeg2_dec.json";
     let csv_path = "results/exploration_mpeg2_dec.csv";
-    std::fs::write(json_path, report.to_json())?;
+    std::fs::write(json_path, report.to_json().emit_pretty())?;
     std::fs::write(csv_path, report.to_csv())?;
     println!("\nfull report written to {json_path} and {csv_path}");
     Ok(())
