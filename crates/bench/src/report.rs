@@ -4,8 +4,9 @@
 //!
 //! A BENCH document is one JSON object with `bench` (the binary's name),
 //! `unix_time`, a `variants` array of `{name, ns_per_step, steps_per_sec}`
-//! objects and any top-level fields the bench adds. [`write_bench`] is the one writer and [`read_bench`]
-//! the one reader; both go through [`dew_explore::json`].
+//! objects and any top-level fields the bench adds. [`write_bench`] is the
+//! one writer and [`read_bench`] the one reader; both go through
+//! [`dew_explore::json`].
 
 use std::collections::BTreeMap;
 
@@ -109,11 +110,9 @@ pub fn thousands(n: u64) -> String {
     out
 }
 
-/// One measured variant of a BENCH document; its [`Display`] is the
+/// One measured variant of a BENCH document; `Display` renders it as the
 /// bench's console row.
-///
-/// [`Display`]: std::fmt::Display
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Variant {
     /// The variant's name, unique within its document.
     pub name: String,
@@ -187,7 +186,7 @@ fn bench_document<'a>(
 }
 
 /// What [`read_bench`] finds in a BENCH document.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct BenchDoc {
     /// `(name, steps_per_sec)` of every variant carrying both, in
     /// document order.
