@@ -1,4 +1,5 @@
-//! The arena skeleton every fused policy kernel runs on.
+//! The arena skeleton every kernel runs on: the four fused policy kernels
+//! and the paper's per-pass [`crate::DewTree`].
 //!
 //! DEW's walk over the binomial forest is policy-independent: per level,
 //! one MRA comparison settles the direct-mapped result, and every simulated
@@ -15,63 +16,63 @@
 //!   and the prefetching batch loop (`Arena::drive`);
 //! * the fan-out ([`Arena::results`], [`Arena::pass_results`],
 //!   [`Arena::pass_counters`]) and [`Arena::footprint_bytes`];
-//! * the snapshot framing — magic, version, geometry, the lane-size check
-//!   and the trailing-bytes check — and the policy [`REGISTRY`] that tells
-//!   a sibling kernel's buffer ([`SnapshotError::PolicyMismatch`]) from
-//!   junk ([`SnapshotError::BadMagic`]).
+//! * the snapshot framing — magic, version, geometry, the lane-size check,
+//!   the flags check and the trailing-bytes check — and the policy
+//!   [`REGISTRY`] that tells a sibling kernel's buffer
+//!   ([`SnapshotError::PolicyMismatch`]) from junk
+//!   ([`SnapshotError::BadMagic`]).
 //!
 //! A replacement policy is a [`LanePolicy`]: its own lanes, its per-block
 //! update, its counters and their per-pass mapping, and the flags byte and
 //! state of its snapshot. Its [`LanePolicy::run`] picks one monomorphic
-//! kernel per batch (FIFO by list shape, LRU by lane width) and hands it
-//! to `Arena::drive`, so the hot loop has no `dyn`, no function pointers
-//! and no per-block branch on the policy.
+//! kernel per batch (FIFO by list shape, LRU by lane width, the per-pass
+//! tree by options and list width) and hands it to `Arena::drive`, so the
+//! hot loop has no `dyn`, no function pointers and no per-block branch on
+//! the policy.
 //!
-//! Every snapshot is laid out as
-//!
-//! ```text
-//! magic   4 bytes, the policy's REGISTRY row
-//! version u8 (1)
-//! pass    block_bits, min_set_bits, max_set_bits,
-//!         log2 min assoc, log2 max assoc            (u32 each)
-//! flags   u8, the policy's options and instrumentation bit
-//! head    the policy's counters and scalars          (LanePolicy::write_head)
-//! shared  misses, dm_misses, MRA lane, then each node's `stride` tags
-//! tail    the policy's own lanes                     (LanePolicy::write_tail)
-//! ```
+//! Every snapshot uses the framing [`crate::snapshot`] lays out; its
+//! `head` and `tail` sections are [`LanePolicy::write_head`] and
+//! [`LanePolicy::write_tail`].
 
 use std::fmt;
 
 use dew_trace::Record;
 
 use crate::counters::DewCounters;
+use crate::lru_tree::LruLanes;
+use crate::multi_assoc::FifoLanes;
 use crate::node::INVALID_TAG;
 use crate::options::{DewOptions, TreePolicy};
+use crate::plru_tree::PlruLanes;
 use crate::results::{AllAssocResults, LevelResult, PassResults};
 use crate::simd::{prefetch_read, KernelBackend, ScalarScan, TagLane, TagScan, PF_DIST};
+use crate::slru_tree::SlruLanes;
 use crate::snapshot::{pow2_span, put_u32, put_u64, Cursor, SnapshotError};
 use crate::space::{DewError, PassConfig};
 
 /// The snapshot magic of every registered policy kernel. Registering a
 /// policy adds its row; a buffer carrying another row's magic is a
 /// [`SnapshotError::PolicyMismatch`], anything else a
-/// [`SnapshotError::BadMagic`].
+/// [`SnapshotError::BadMagic`]. The per-pass [`crate::DewTree`] lanes are
+/// not a fused policy kernel and have no row, so a fused kernel handed a
+/// `DewTree` buffer reports `BadMagic`.
 pub(crate) const REGISTRY: [(TreePolicy, [u8; 4]); 4] = [
-    (TreePolicy::Fifo, *b"DEWM"),
-    (TreePolicy::Lru, *b"DEWL"),
-    (TreePolicy::Plru, *b"DEWP"),
-    (TreePolicy::Slru, *b"DEWU"),
+    (TreePolicy::Fifo, FifoLanes::MAGIC),
+    (TreePolicy::Lru, LruLanes::MAGIC),
+    (TreePolicy::Plru, PlruLanes::MAGIC),
+    (TreePolicy::Slru, SlruLanes::MAGIC),
 ];
 
 /// Snapshot format version shared by every arena kernel.
 const SNAP_VERSION: u8 = 1;
 
+/// The fused policy whose [`REGISTRY`] row is `magic`, if any.
+fn registered(magic: [u8; 4]) -> Option<TreePolicy> {
+    REGISTRY.iter().find(|&&(_, m)| m == magic).map(|&(p, _)| p)
+}
+
 /// The snapshot magic of `policy` ([`REGISTRY`]).
-///
-/// # Panics
-///
-/// Never for a registered policy; every [`TreePolicy`] has a row.
-#[must_use]
+#[cfg(test)]
 pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
     REGISTRY
         .iter()
@@ -86,9 +87,9 @@ pub(crate) fn magic(policy: TreePolicy) -> [u8; 4] {
 /// The trait is sealed in practice — its hooks name crate-internal types —
 /// so the registered policies are the ones this crate implements.
 pub trait LanePolicy: Clone + fmt::Debug {
-    /// The policy these lanes simulate; its [`REGISTRY`] row names the
-    /// snapshot magic.
-    const POLICY: TreePolicy;
+    /// The snapshot magic of these lanes (the fused kernels' [`REGISTRY`]
+    /// rows name theirs).
+    const MAGIC: [u8; 4];
     /// The policy's behaviour toggles.
     type Options: Copy + fmt::Debug;
     /// The policy's work counters.
@@ -96,6 +97,12 @@ pub trait LanePolicy: Clone + fmt::Debug {
 
     /// The toggles a sweep's [`DewOptions`] map onto.
     fn options(options: DewOptions) -> Self::Options;
+
+    /// The replacement policy these lanes simulate; by default the one
+    /// [`REGISTRY`] files under [`LanePolicy::MAGIC`].
+    fn policy(&self) -> TreePolicy {
+        registered(Self::MAGIC).expect("fused lanes have a registry row")
+    }
 
     /// Tag-lane entries per node for the associativity range `assoc_bits`
     /// (`log2`, inclusive), as serialised: by default one way per way of
@@ -185,7 +192,8 @@ pub trait LanePolicy: Clone + fmt::Debug {
 /// docs; the per-policy names are [`crate::MultiAssocTree`] (FIFO),
 /// [`crate::lru_tree::LruTreeSimulator`],
 /// [`crate::plru_tree::PlruTreeSimulator`] and
-/// [`crate::slru_tree::SlruTreeSimulator`].
+/// [`crate::slru_tree::SlruTreeSimulator`]; [`crate::DewTree`] wraps the
+/// per-pass lanes (one associativity).
 #[derive(Debug, Clone)]
 pub struct Arena<P: LanePolicy> {
     /// Geometry; `assoc()` reports the widest simulated associativity.
@@ -387,7 +395,10 @@ impl<P: LanePolicy> Arena<P> {
             });
         }
         P::check(opts, assoc_bits)?;
-        let pass = PassConfig::new(block_bits, set_bits.0, set_bits.1, 1 << assoc_bits.1)?;
+        // A snapshot header can name any exponent; one that overflows `u32`
+        // is no associativity (`PassConfig::new` rejects 0).
+        let max_assoc = 1u32.checked_shl(assoc_bits.1).unwrap_or(0);
+        let pass = PassConfig::new(block_bits, set_bits.0, set_bits.1, max_assoc)?;
         let assoc_list: Vec<u32> = (assoc_bits.0..=assoc_bits.1).map(|b| 1 << b).collect();
         let widths: Vec<usize> = (assoc_bits.0.max(1)..=assoc_bits.1)
             .map(|b| 1usize << b)
@@ -701,7 +712,7 @@ impl<P: LanePolicy> Arena<P> {
     #[must_use]
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
-        out.extend_from_slice(&magic(P::POLICY));
+        out.extend_from_slice(&P::MAGIC);
         out.push(SNAP_VERSION);
         for v in [
             self.pass.block_bits(),
@@ -734,10 +745,10 @@ impl<P: LanePolicy> Arena<P> {
     /// [`SnapshotError::PolicyMismatch`].
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut cur = Cursor::new(bytes);
-        let expected = magic(P::POLICY);
+        let expected = P::MAGIC;
         let found: [u8; 4] = cur.bytes(4)?.try_into().expect("4 bytes");
         if found != expected {
-            return Err(if REGISTRY.iter().any(|&(_, m)| m == found) {
+            return Err(if registered(found).is_some() {
                 SnapshotError::PolicyMismatch { expected, found }
             } else {
                 SnapshotError::BadMagic
@@ -750,7 +761,8 @@ impl<P: LanePolicy> Arena<P> {
         let (block_bits, min_set_bits, max_set_bits) = (cur.u32()?, cur.u32()?, cur.u32()?);
         let assoc_bits = (cur.u32()?, cur.u32()?);
         cur.expect_lanes((min_set_bits, max_set_bits), P::stride(assoc_bits))?;
-        let (opts, instrument) = P::from_flags(cur.u8()?);
+        let flags = cur.u8()?;
+        let (opts, instrument) = P::from_flags(flags);
         let mut arena = Self::with_instrumentation(
             block_bits,
             (min_set_bits, max_set_bits),
@@ -759,6 +771,9 @@ impl<P: LanePolicy> Arena<P> {
             instrument,
         )
         .map_err(|_| SnapshotError::Corrupt("invalid arena geometry"))?;
+        if arena.lanes.flags(instrument) != flags {
+            return Err(SnapshotError::Corrupt("unknown flag bits"));
+        }
         arena.lanes.read_head(&mut cur)?;
         read_u64s(
             &mut cur,
@@ -803,15 +818,20 @@ pub(crate) mod contract {
             .collect()
     }
 
+    /// The policy registered under `P`'s magic.
+    fn policy<P: LanePolicy>() -> TreePolicy {
+        registered(P::MAGIC).expect("a registered policy")
+    }
+
     /// The policy's sweep preset.
     fn preset<P: LanePolicy>() -> P::Options {
-        P::options(DewOptions::for_policy(P::POLICY))
+        P::options(DewOptions::for_policy(policy::<P>()))
     }
 
     /// The preset and, where the policy allows it, the preset with
     /// duplicate elision on, each with its `dup_elision` flag.
     fn variants<P: LanePolicy>() -> Vec<(P::Options, bool)> {
-        let base = DewOptions::for_policy(P::POLICY);
+        let base = DewOptions::for_policy(policy::<P>());
         let dup = DewOptions {
             dup_elision: true,
             ..base
@@ -828,7 +848,7 @@ pub(crate) mod contract {
     /// variant (so also while duplicate requests are being skipped).
     pub(crate) fn fan_out<P: LanePolicy>() {
         let a = addrs(2500, 0x5EED_FA11);
-        let policy = P::POLICY;
+        let policy = policy::<P>();
         for ((opts, dup), instrument) in variants::<P>()
             .into_iter()
             .flat_map(|v| [(v, false), (v, true)])
@@ -875,7 +895,7 @@ pub(crate) mod contract {
                     Err(DewError::BadAssoc(a)) if a == max_assoc
                 ),
                 "{}: max_assoc {max_assoc}",
-                P::POLICY
+                policy::<P>()
             );
         }
         assert!(
@@ -884,7 +904,7 @@ pub(crate) mod contract {
                 Err(DewError::EmptySetRange { .. })
             ),
             "{}: inverted associativity range",
-            P::POLICY
+            policy::<P>()
         );
     }
 
@@ -902,10 +922,6 @@ pub(crate) mod contract {
 mod tests {
     use super::contract::run_sentinel;
     use super::*;
-    use crate::lru_tree::LruLanes;
-    use crate::multi_assoc::FifoLanes;
-    use crate::plru_tree::PlruLanes;
-    use crate::slru_tree::SlruLanes;
 
     /// The instrumented batch path rejects the out-of-range sentinel block
     /// like the fast one, which each policy's own

@@ -81,7 +81,7 @@ pub trait PolicyKernel {
 
 impl<P: LanePolicy> PolicyKernel for Arena<P> {
     fn policy(&self) -> TreePolicy {
-        P::POLICY
+        self.lanes.policy()
     }
     fn run_blocks(&mut self, blocks: &[u64]) {
         Arena::run_blocks(self, blocks);

@@ -39,6 +39,12 @@
 //! * **SLRU** — [`slru_tree::SlruTreeSimulator`]: a segmented
 //!   protected/probationary recency lane that resists scan pollution.
 //!
+//! All five kernels — the per-pass [`DewTree`] and the four fused ones —
+//! run on one skeleton, [`Arena`]: one forest layout, one batch loop and
+//! scan-backend dispatch, one fan-out and one snapshot framing
+//! ([`snapshot`]). A policy contributes only its lanes, its update rule
+//! and its counters.
+//!
 //! A [`SweepOutcome`] records the exact miss table, the per-pass work
 //! counters, the policy it was swept under and the honest
 //! [`SweepOutcome::trace_traversals`] count; the `dew-explore` crate

@@ -82,7 +82,7 @@ use std::fmt;
 use crate::arena::{put_u32s, put_u64s, read_u32s, read_u64s, within, Arena, LanePolicy};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::{DewOptions, TreePolicy};
+use crate::options::DewOptions;
 use crate::simd::{first_match, TagScan};
 use crate::snapshot::{pow2_span, Cursor, SnapshotError};
 
@@ -219,7 +219,7 @@ impl Arena<LruLanes> {
 }
 
 impl LanePolicy for LruLanes {
-    const POLICY: TreePolicy = TreePolicy::Lru;
+    const MAGIC: [u8; 4] = *b"DEWL";
     type Options = LruTreeOptions;
     type Counters = LruTreeCounters;
 

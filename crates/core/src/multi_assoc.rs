@@ -245,7 +245,7 @@ impl ListCounters {
 }
 
 impl LanePolicy for FifoLanes {
-    const POLICY: TreePolicy = TreePolicy::Fifo;
+    const MAGIC: [u8; 4] = *b"DEWM";
     type Options = DewOptions;
     type Counters = DewCounters;
 

@@ -53,7 +53,7 @@ use std::fmt;
 use crate::arena::{put_u32s, put_u64s, read_u32s, read_u64s, within, Arena, LanePolicy};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::{DewOptions, TreePolicy};
+use crate::options::DewOptions;
 use crate::simd::{lane_scan, LaneScan, TagScan};
 use crate::snapshot::{Cursor, SnapshotError};
 use crate::space::DewError;
@@ -169,7 +169,7 @@ fn plru_touch(bits: &mut u64, way: usize, assoc: usize) {
 }
 
 impl LanePolicy for PlruLanes {
-    const POLICY: TreePolicy = TreePolicy::Plru;
+    const MAGIC: [u8; 4] = *b"DEWP";
     type Options = PlruTreeOptions;
     type Counters = PlruTreeCounters;
 
@@ -407,6 +407,7 @@ fn kernel<S: TagScan>(a: &mut Arena<PlruLanes>, scan: S, block: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::TreePolicy;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
     use dew_trace::Record;
 

@@ -54,7 +54,7 @@ use std::fmt;
 use crate::arena::{put_u32s, put_u64s, read_u32s, read_u64s, within, Arena, LanePolicy};
 use crate::counters::DewCounters;
 use crate::node::INVALID_TAG;
-use crate::options::{DewOptions, TreePolicy};
+use crate::options::DewOptions;
 use crate::simd::{lane_scan, LaneScan, TagScan};
 use crate::snapshot::{Cursor, SnapshotError};
 
@@ -104,7 +104,7 @@ pub struct SlruLanes {
 }
 
 impl LanePolicy for SlruLanes {
-    const POLICY: TreePolicy = TreePolicy::Slru;
+    const MAGIC: [u8; 4] = *b"DEWU";
     type Options = ();
     type Counters = SlruTreeCounters;
 
@@ -314,6 +314,7 @@ fn kernel<S: TagScan>(a: &mut Arena<SlruLanes>, scan: S, block: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::TreePolicy;
     use dew_cachesim::{simulate_trace, CacheConfig, Replacement};
     use dew_trace::Record;
 

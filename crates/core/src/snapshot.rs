@@ -1,28 +1,30 @@
-//! Checkpointing support: serialise a [`crate::DewTree`]'s complete state to
-//! bytes and restore it later.
+//! Checkpointing support: serialise a kernel's complete state to bytes and
+//! restore it later.
 //!
 //! Real traces are long (the paper's MPEG2 encode trace has 3.7 billion
 //! requests); checkpoints let a simulation be split across batch jobs, saved
 //! before the interesting region of a trace, or shipped between machines.
-//! The format is a versioned little-endian dump of the forest — geometry and
-//! options are embedded, so a snapshot is self-describing:
+//! Every kernel — the per-pass [`crate::DewTree`] and the four fused policy
+//! kernels — writes one framing, the [`crate::Arena`]'s: a little-endian
+//! dump with geometry and options embedded, so a snapshot is
+//! self-describing:
 //!
 //! ```text
-//! magic  b"DEWS"
-//! version u8 (currently 2)
-//! pass    block_bits, min_set_bits, max_set_bits, assoc   (u32 each)
-//! opts    flags u8 (bit0 mra_stop, 1 wave, 2 mre, 3 dup_elision, 4 lru,
-//!         5 instrumented — v2 only)
-//! state   counters (10 × u64), now, prev_block
-//! arena   per level: misses, dm_misses; then the whole node-metadata lane,
-//!         the whole way-entry lane, and the last-access lane (LRU only) —
-//!         sizes derived from the pass
+//! magic   4 bytes: DEWA per-pass tree, DEWM FIFO, DEWL LRU,
+//!         DEWP tree-PLRU, DEWU SLRU
+//! version u8 (1)
+//! pass    block_bits, min_set_bits, max_set_bits,
+//!         log2 min assoc, log2 max assoc            (u32 each)
+//! flags   u8, the kernel's options and instrumentation bit
+//! head    the kernel's counters and scalars
+//! shared  misses, dm_misses, MRA lane, then each node's tags
+//! tail    the kernel's own lanes
 //! ```
 //!
-//! Version 1 (the pre-arena format) interleaved each level's miss tallies,
-//! metadata, ways and last-access times; [`crate::DewTree::from_snapshot`]
-//! still decodes it, restoring an instrumented tree (the only kind version-1
-//! builds produced). Writers always emit version 2.
+//! Decoding checks the magic, the version, the geometry against the bytes
+//! that remain (before anything is allocated), the flags, every pointer
+//! lane and the absence of trailing bytes; every failure is a typed
+//! [`SnapshotError`].
 //!
 //! # Examples
 //!
@@ -45,13 +47,6 @@
 
 use std::error::Error;
 use std::fmt;
-
-/// File magic of the snapshot format.
-pub const MAGIC: [u8; 4] = *b"DEWS";
-/// Current snapshot format version (the arena-ordered layout).
-pub const VERSION: u8 = 2;
-/// The legacy per-level-interleaved layout; still decoded, never written.
-pub const VERSION_1: u8 = 1;
 
 /// Errors restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,91 +1,535 @@
 //! The DEW simulation forest: binomial trees of cache sets with wave
-//! pointers, MRA early termination and MRE victim entries.
+//! pointers, MRA early termination and MRE victim entries — the paper's
+//! per-pass simulator, one associativity a pass, on the shared [`Arena`]
+//! skeleton.
 
 use dew_trace::Record;
 
+use crate::arena::{put_u32s, put_u64s, read_u32s, read_u64s, within, Arena, LanePolicy};
 use crate::counters::DewCounters;
 use crate::node::{NodeMeta, EMPTY_WAVE, INVALID_TAG};
 use crate::options::{DewOptions, TreePolicy};
-use crate::results::{LevelResult, PassResults};
+use crate::results::PassResults;
+use crate::simd::TagScan;
+use crate::snapshot::{put_u64, Cursor, SnapshotError};
 use crate::space::{DewError, PassConfig};
 
 /// Sentinel for "no parent matching entry" in the walk (root level, or the
 /// parent level determined the block without a resident entry).
 const NO_PARENT: usize = usize::MAX;
 
-/// The whole forest in one arena: every level's nodes and way entries live in
-/// a single pair of contiguous allocations, addressed through precomputed
-/// per-level node offsets and set masks.
-///
-/// Node `(li, set)` is `meta[node_off[li] + set]`; its tag list is
-/// `ways[(node_off[li] + set) * assoc ..][..assoc]`. The LRU `last_access`
-/// lane is kept out-of-line (indexed like `ways`) so FIFO passes never touch
-/// — or even allocate — it.
+/// The per-pass lanes [`DewTree`] adds to the [`Arena`]: the arena's tag
+/// region of node `i` is its one tag list (`tags[i*assoc..][..assoc]`),
+/// and these lanes hold the rest of the paper's node state plus the
+/// request-level scalars.
 #[derive(Debug, Clone)]
-struct Forest {
-    /// The MRA-tag lane, dense and on its own: the MRA comparison runs on
-    /// every node evaluation and is the *only* state a Property-2 stop
-    /// touches, so stops read 8 bytes per node instead of a whole
-    /// [`NodeMeta`].
-    mra: Vec<u64>,
+pub(crate) struct DewLanes {
+    opts: DewOptions,
+    /// `true` when `opts` matches the paper's default configuration and the
+    /// `DEFAULT_PATH` kernel instantiation applies.
+    specialized: bool,
+    /// Per-node MRE entry, FIFO pointer and valid count.
     meta: Vec<NodeMeta>,
-    /// The way-tag lane (`num_nodes × assoc`, node `i`'s list at
-    /// `tags[i*assoc..][..assoc]`): dense `u64`s so residency searches scan
-    /// 8 bytes per way and vectorise.
-    tags: Vec<u64>,
-    /// The wave-pointer lane, parallel to `tags`; only the instrumented
-    /// kernel (the paper's shortcut ladder) reads or writes it, so it is
-    /// only allocated for instrumented trees.
+    /// The wave-pointer lane, parallel to the tag lane; only the
+    /// instrumented kernel (the paper's shortcut ladder) reads or writes
+    /// it, so it is only allocated for instrumented trees.
     waves: Vec<u32>,
-    /// Per-way last-access time; only populated under [`TreePolicy::Lru`].
+    /// Per-way last-access time, parallel to the tag lane; only populated
+    /// under [`TreePolicy::Lru`], so FIFO passes never touch it.
     last_access: Vec<u64>,
-    /// Node-index base per level, plus a final entry holding the total node
-    /// count (so `node_off[li]..node_off[li + 1]` is level `li`'s node range).
-    node_off: Vec<usize>,
-    /// `(1 << set_bits) - 1` per level (zero for the single-set root level),
-    /// so the hot loop indexes with one mask and no branch.
-    set_mask: Vec<u64>,
-    misses: Vec<u64>,
-    dm_misses: Vec<u64>,
+    counters: DewCounters,
+    now: u64,
+    /// Block of the previous request, for the CRCB-style elision extension.
+    prev_block: u64,
 }
 
-impl Forest {
-    fn new(pass: &PassConfig, lru: bool, instrument: bool) -> Self {
-        let num_levels = pass.num_levels() as usize;
-        let assoc = pass.assoc() as usize;
-        let mut node_off = Vec::with_capacity(num_levels + 1);
-        let mut set_mask = Vec::with_capacity(num_levels);
-        let mut total = 0usize;
-        for set_bits in pass.min_set_bits()..=pass.max_set_bits() {
-            node_off.push(total);
-            set_mask.push((1u64 << set_bits) - 1);
-            total += 1usize << set_bits;
+impl DewLanes {
+    /// Shared per-request prologue of both kernels: request accounting and
+    /// the CRCB-style duplicate elision. Returns `true` when the request was
+    /// elided whole.
+    #[inline(always)]
+    fn prologue<const DEFAULT_PATH: bool>(&mut self, block: u64) -> bool {
+        debug_assert!(!DEFAULT_PATH || self.specialized, "dispatch mismatch");
+        self.counters.accesses += 1;
+        if !DEFAULT_PATH {
+            self.now += 1;
+            if self.opts.dup_elision {
+                if block == self.prev_block {
+                    // CRCB-style extension: the block was the previous
+                    // request, so it is resident (and MRU) at every level —
+                    // a hit everywhere with no state to update under FIFO,
+                    // and an idempotent recency refresh under LRU (no other
+                    // block touched these sets in between).
+                    self.counters.duplicate_skips += 1;
+                    return true;
+                }
+                self.prev_block = block;
+            }
         }
-        node_off.push(total);
-        Forest {
-            mra: vec![INVALID_TAG; total],
-            meta: vec![NodeMeta::EMPTY; total],
-            tags: vec![INVALID_TAG; total * assoc],
+        false
+    }
+}
+
+/// The counters a per-pass tree maintains, in snapshot order.
+fn counter_words(c: &mut DewCounters) -> [&mut u64; 10] {
+    [
+        &mut c.accesses,
+        &mut c.node_evaluations,
+        &mut c.mra_stops,
+        &mut c.wave_hits,
+        &mut c.wave_misses,
+        &mut c.mre_misses,
+        &mut c.searches,
+        &mut c.duplicate_skips,
+        &mut c.search_comparisons,
+        &mut c.tag_comparisons,
+    ]
+}
+
+impl LanePolicy for DewLanes {
+    const MAGIC: [u8; 4] = *b"DEWA";
+    type Options = DewOptions;
+    type Counters = DewCounters;
+
+    fn options(options: DewOptions) -> DewOptions {
+        options
+    }
+
+    fn policy(&self) -> TreePolicy {
+        self.opts.policy
+    }
+
+    /// [`DewError::UnsoundOptions`] for unsound options, for a policy these
+    /// lists do not simulate (FIFO and LRU only; PLRU and SLRU run on their
+    /// own kernels) and for more than one associativity.
+    fn check(opts: DewOptions, assoc_bits: (u32, u32)) -> Result<(), DewError> {
+        opts.validate()?;
+        if !matches!(opts.policy, TreePolicy::Fifo | TreePolicy::Lru) {
+            return Err(DewError::UnsoundOptions(
+                "a DewTree simulates FIFO or LRU lists; tree-PLRU and SLRU run on their \
+                 own fused arena kernels (plru_tree, slru_tree)",
+            ));
+        }
+        if assoc_bits.0 != assoc_bits.1 {
+            return Err(DewError::UnsoundOptions(
+                "a DewTree simulates one associativity a pass",
+            ));
+        }
+        Ok(())
+    }
+
+    fn new(opts: DewOptions, instrument: bool, nodes: usize, _: &[usize], assoc: usize) -> Self {
+        let specialized = opts.mra_stop
+            && opts.wave
+            && opts.mre
+            && !opts.dup_elision
+            && opts.policy == TreePolicy::Fifo;
+        DewLanes {
+            opts,
+            specialized,
+            meta: vec![NodeMeta::EMPTY; nodes],
             waves: if instrument {
-                vec![EMPTY_WAVE; total * assoc]
+                vec![EMPTY_WAVE; nodes * assoc]
             } else {
                 Vec::new()
             },
-            last_access: if lru {
-                vec![0; total * assoc]
+            last_access: if opts.policy == TreePolicy::Lru {
+                vec![0; nodes * assoc]
             } else {
                 Vec::new()
             },
-            node_off,
-            set_mask,
-            misses: vec![0; num_levels],
-            dm_misses: vec![0; num_levels],
+            counters: DewCounters::new(),
+            now: 0,
+            prev_block: INVALID_TAG,
         }
     }
 
-    /// Level `li`'s node-index range in the arena.
-    fn level_nodes(&self, li: usize) -> std::ops::Range<usize> {
-        self.node_off[li]..self.node_off[li + 1]
+    /// Kernel dispatch: fast or instrumented, default path or not, then —
+    /// fast only — the list width. Widths 1 and 2 get their own
+    /// instantiation (there the scan reduces to one or two scalar compares
+    /// and the loop overhead dominates); wider lists keep the runtime-width
+    /// scan, which LLVM vectorises better than a fully unrolled
+    /// conditional-move chain (measured on the `dew_step` bench). The
+    /// kernels scan inline, so the batch's [`TagScan`] backend goes unused.
+    #[inline(always)]
+    fn run<S: TagScan>(arena: &mut Arena<Self>, _: S, blocks: &[u64]) {
+        match (arena.instrument, arena.lanes.specialized, arena.stride) {
+            (true, true, _) => arena.drive(blocks, kernel_instrumented::<true>),
+            (true, false, _) => arena.drive(blocks, kernel_instrumented::<false>),
+            (false, true, 1) => arena.drive(blocks, kernel_fast::<true, 1>),
+            (false, true, 2) => arena.drive(blocks, kernel_fast::<true, 2>),
+            (false, true, _) => arena.drive(blocks, kernel_fast::<true, 0>),
+            (false, false, 1) => arena.drive(blocks, kernel_fast::<false, 1>),
+            (false, false, 2) => arena.drive(blocks, kernel_fast::<false, 2>),
+            (false, false, _) => arena.drive(blocks, kernel_fast::<false, 0>),
+        }
+    }
+
+    fn counters(&self) -> &DewCounters {
+        &self.counters
+    }
+
+    fn accesses(&self) -> u64 {
+        self.counters.accesses
+    }
+
+    fn duplicate_skips(&self) -> u64 {
+        self.counters.duplicate_skips
+    }
+
+    /// One list, one pass: the counters are the pass's own.
+    fn pass_counters(&self, _: Option<usize>) -> DewCounters {
+        self.counters
+    }
+
+    fn lane_bytes(&self) -> usize {
+        self.meta.len() * std::mem::size_of::<NodeMeta>()
+            + self.waves.len() * 4
+            + self.last_access.len() * 8
+    }
+
+    fn flags(&self, instrument: bool) -> u8 {
+        u8::from(self.opts.mra_stop)
+            | u8::from(self.opts.wave) << 1
+            | u8::from(self.opts.mre) << 2
+            | u8::from(self.opts.dup_elision) << 3
+            | u8::from(self.opts.policy == TreePolicy::Lru) << 4
+            | u8::from(instrument) << 5
+    }
+
+    fn from_flags(flags: u8) -> (DewOptions, bool) {
+        let opts = DewOptions {
+            mra_stop: flags & 1 != 0,
+            wave: flags & 2 != 0,
+            mre: flags & 4 != 0,
+            dup_elision: flags & 8 != 0,
+            policy: if flags & 16 != 0 {
+                TreePolicy::Lru
+            } else {
+                TreePolicy::Fifo
+            },
+        };
+        (opts, flags & 32 != 0)
+    }
+
+    /// The counters, then the clock and the elision block.
+    fn write_head(&self, out: &mut Vec<u8>) {
+        let mut c = self.counters;
+        let words = counter_words(&mut c).map(|v| &*v);
+        put_u64s(out, words.into_iter().chain([&self.now, &self.prev_block]));
+    }
+
+    fn read_head(&mut self, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+        read_u64s(cur, counter_words(&mut self.counters))?;
+        read_u64s(cur, [&mut self.now, &mut self.prev_block])
+    }
+
+    /// Each node's MRE tag, MRE wave, FIFO pointer and valid count, then —
+    /// instrumented only — the wave lane and — LRU only — the last-access
+    /// lane.
+    fn write_tail(arena: &Arena<Self>, out: &mut Vec<u8>) {
+        for m in &arena.lanes.meta {
+            put_u64(out, m.mre);
+            put_u32s(out, [&m.mre_wave, &m.fifo_ptr, &m.valid]);
+        }
+        put_u32s(out, &arena.lanes.waves);
+        put_u64s(out, &arena.lanes.last_access);
+    }
+
+    fn read_tail(arena: &mut Arena<Self>, cur: &mut Cursor<'_>) -> Result<(), SnapshotError> {
+        let (l, assoc) = (&mut arena.lanes, arena.stride);
+        for m in &mut l.meta {
+            m.mre = cur.u64()?;
+            read_u32s(cur, [&mut m.mre_wave, &mut m.fifo_ptr, &mut m.valid])?;
+            if m.fifo_ptr as usize >= assoc || m.valid as usize > assoc {
+                return Err(SnapshotError::Corrupt("node state out of range"));
+            }
+        }
+        read_u32s(cur, &mut l.waves)?;
+        within(&l.waves, "wave pointer out of range", |_, w| {
+            w == EMPTY_WAVE || (w as usize) < assoc
+        })?;
+        read_u64s(cur, &mut l.last_access)
+    }
+}
+
+/// The fast kernel: no counters, and — the decisive part — no wave or MRE
+/// traffic at all.
+///
+/// Properties 3 and 4 are *comparison-saving oracles*: they decide
+/// hit/miss early but never change which block is resident where, so
+/// miss counts do not depend on them (the ablation tests prove this).
+/// On modern out-of-order hardware a branchless compare of every way in
+/// the dense tag lane is cheaper than the shortcut ladder's
+/// unpredictable branches — and once nothing reads wave pointers or MRE
+/// entries, nothing needs to *maintain* them either, which removes the
+/// parent-entry tracking and makes the per-level iterations independent
+/// (the walk's only remaining serial dependence is the MRA stop).
+/// The instrumented kernel keeps the full ladder, because the paper's
+/// comparison counts are defined by it.
+///
+/// `DEFAULT_PATH = true` additionally folds away the LRU machinery and
+/// the elision check (the options are known to match the paper's
+/// default configuration). `ASSOC` is the tag-list width when positive
+/// (letting the scan unroll and the FIFO wrap fold to a mask) and `0`
+/// for the generic runtime-width fallback.
+fn kernel_fast<const DEFAULT_PATH: bool, const ASSOC: usize>(a: &mut Arena<DewLanes>, block: u64) {
+    if a.lanes.prologue::<DEFAULT_PATH>(block) {
+        return;
+    }
+    debug_assert!(ASSOC == 0 || ASSOC == a.pass.assoc() as usize);
+    let assoc = if ASSOC == 0 {
+        a.pass.assoc() as usize
+    } else {
+        ASSOC
+    };
+    let lru = !DEFAULT_PATH && a.lanes.opts.policy == TreePolicy::Lru;
+    let mra_stop = DEFAULT_PATH || a.lanes.opts.mra_stop;
+    let now = a.lanes.now;
+    let DewLanes {
+        meta, last_access, ..
+    } = &mut a.lanes;
+    let (mra, tags) = (&mut a.mra, &mut *a.tags);
+
+    // One zipped iterator over the per-level lanes: the bounds checks
+    // collapse into the iterator, leaving only the arena accesses
+    // checked inside the loop.
+    let levels = a
+        .set_mask
+        .iter()
+        .zip(a.node_off.iter())
+        .zip(a.misses.iter_mut().zip(a.dm_misses.iter_mut()));
+    for ((&mask, &off), (level_misses, level_dm_misses)) in levels {
+        let node = off + (block & mask) as usize;
+        let mra_match = mra[node] == block;
+        if mra_match {
+            if mra_stop {
+                // Property 2: hit here and at every larger set count, for
+                // the pass associativity and for associativity 1 alike.
+                return;
+            }
+        } else {
+            // The direct-mapped cache at this level holds its most recent
+            // requester, so an MRA mismatch is exactly a DM miss.
+            *level_dm_misses += 1;
+        }
+        mra[node] = block;
+        let base = node * assoc;
+
+        // Branchless residency check over the whole tag list: invalid
+        // ways hold the sentinel (which no real block equals), so the
+        // `valid` prefix length is irrelevant, and a resident block
+        // occupies exactly one way, so selecting the matching index with
+        // conditional moves is exact. The dense `u64` lane lets LLVM
+        // vectorise this compare.
+        let list = &tags[base..base + assoc];
+        let mut hit_way = usize::MAX;
+        for (i, &tag) in list.iter().enumerate() {
+            hit_way = if tag == block { i } else { hit_way };
+        }
+        debug_assert!(
+            !(mra_match && hit_way == usize::MAX),
+            "an MRA match implies residency; miss determination is wrong"
+        );
+
+        if hit_way != usize::MAX {
+            // Algorithm 1: Handle_hit (FIFO hits change nothing).
+            if lru {
+                last_access[base + hit_way] = now;
+            }
+        } else {
+            // Algorithm 2: Handle_miss.
+            *level_misses += 1;
+            let m = &mut meta[node];
+            let n = if lru {
+                if (m.valid as usize) < assoc {
+                    m.valid as usize
+                } else {
+                    crate::node::lru_victim(&last_access[base..base + assoc])
+                }
+            } else {
+                // FIFO: the round-robin pointer designates the least
+                // recently inserted block (or the next empty way).
+                m.fifo_ptr as usize
+            };
+            let slot = &mut tags[base + n];
+            if *slot == INVALID_TAG {
+                m.valid += 1;
+            }
+            *slot = block;
+            if lru {
+                last_access[base + n] = now;
+            } else {
+                m.fifo_ptr = crate::node::fifo_advance(m.fifo_ptr, assoc);
+            }
+        }
+    }
+}
+
+/// The instrumented kernel: the paper's full determination ladder (wave
+/// pointer, then MRE, then a stop-at-match search), with every
+/// [`DewCounters`] field maintained. Miss counts are bit-identical to
+/// [`kernel_fast`]'s — a property-tested invariant.
+fn kernel_instrumented<const DEFAULT_PATH: bool>(a: &mut Arena<DewLanes>, block: u64) {
+    if a.lanes.prologue::<DEFAULT_PATH>(block) {
+        return;
+    }
+    let assoc = a.pass.assoc() as usize;
+    let lru = !DEFAULT_PATH && a.lanes.opts.policy == TreePolicy::Lru;
+    let mra_stop = DEFAULT_PATH || a.lanes.opts.mra_stop;
+    let use_wave = DEFAULT_PATH || a.lanes.opts.wave;
+    let use_mre = DEFAULT_PATH || a.lanes.opts.mre;
+    let now = a.lanes.now;
+    let DewLanes {
+        meta,
+        waves,
+        last_access,
+        counters,
+        ..
+    } = &mut a.lanes;
+    let (mra, tags) = (&mut a.mra, &mut *a.tags);
+    // Global way index (within the previous level) of the entry that
+    // holds `block` after handling — "the parent node's matching entry".
+    let mut parent = NO_PARENT;
+    // The current value of `waves[parent]`, carried in a register: every
+    // handling path below knows it without re-loading (a fresh insert
+    // leaves `EMPTY_WAVE`, an MRE exchange restores a value we just
+    // swapped, a hit reads it once at the end of the iteration). This
+    // breaks the walk's store-to-load dependence on the entry the
+    // previous level just wrote.
+    let mut parent_wave = EMPTY_WAVE;
+
+    let levels = a
+        .set_mask
+        .iter()
+        .zip(a.node_off.iter())
+        .zip(a.misses.iter_mut().zip(a.dm_misses.iter_mut()));
+    for ((&mask, &off), (level_misses, level_dm_misses)) in levels {
+        let node = off + (block & mask) as usize;
+        counters.node_evaluations += 1;
+        counters.tag_comparisons += 1; // the MRA comparison
+        let mra_match = mra[node] == block;
+        if mra_match {
+            if mra_stop {
+                // Property 2: hit here and at every larger set count, for
+                // the pass associativity and for associativity 1 alike.
+                counters.mra_stops += 1;
+                return;
+            }
+        } else {
+            // The direct-mapped cache at this level holds its most recent
+            // requester, so an MRA mismatch is exactly a DM miss.
+            *level_dm_misses += 1;
+        }
+        let base = node * assoc;
+        let m = &mut meta[node];
+
+        // Hit/miss determination: wave pointer, then MRE, then search.
+        let mut found: Option<usize> = None;
+        let mut determined = false;
+        if use_wave && parent != NO_PARENT && parent_wave != EMPTY_WAVE {
+            // Property 3: a valid wave pointer names the only way this
+            // block can occupy, so one comparison decides.
+            counters.tag_comparisons += 1;
+            let w = parent_wave as usize;
+            debug_assert!(w < assoc, "wave pointer within tag list");
+            if tags[base + w] == block {
+                counters.wave_hits += 1;
+                found = Some(w);
+            } else {
+                counters.wave_misses += 1;
+            }
+            determined = true;
+        }
+        if !determined && use_mre {
+            // Property 4: the most recently evicted block is certainly
+            // not in the tag list.
+            counters.tag_comparisons += 1;
+            if m.mre == block {
+                counters.mre_misses += 1;
+                determined = true;
+            }
+        }
+        if !determined {
+            counters.searches += 1;
+            // The scan stops at the match, because the paper's
+            // comparison counts do.
+            for (i, &tag) in tags[base..base + m.valid as usize].iter().enumerate() {
+                counters.search_comparisons += 1;
+                counters.tag_comparisons += 1;
+                if tag == block {
+                    found = Some(i);
+                    break;
+                }
+            }
+        }
+        debug_assert!(
+            !(mra_match && found.is_none()),
+            "an MRA match implies residency; miss determination is wrong"
+        );
+
+        mra[node] = block;
+        let n = match found {
+            Some(n) => {
+                // Algorithm 1: Handle_hit.
+                if lru {
+                    last_access[base + n] = now;
+                }
+                parent_wave = waves[base + n];
+                n
+            }
+            None => {
+                // Algorithm 2: Handle_miss.
+                *level_misses += 1;
+                let n = if lru {
+                    if (m.valid as usize) < assoc {
+                        m.valid as usize
+                    } else {
+                        crate::node::lru_victim(&last_access[base..base + assoc])
+                    }
+                } else {
+                    // FIFO: the round-robin pointer designates the least
+                    // recently inserted block (or the next empty way).
+                    m.fifo_ptr as usize
+                };
+                if use_mre && m.mre == block {
+                    // Algorithm 2, line 5: exchange the victim way with
+                    // the MRE entry, restoring the block's preserved wave
+                    // pointer.
+                    debug_assert_eq!(
+                        m.valid as usize, assoc,
+                        "MRE only holds a tag after an eviction, which requires a full set"
+                    );
+                    std::mem::swap(&mut tags[base + n], &mut m.mre);
+                    std::mem::swap(&mut waves[base + n], &mut m.mre_wave);
+                    parent_wave = waves[base + n];
+                } else {
+                    // Algorithm 2, lines 7-8: fresh insert; the evicted
+                    // entry (tag and wave pointer) moves to the MRE slot.
+                    let evicted_tag = std::mem::replace(&mut tags[base + n], block);
+                    let evicted_wave = std::mem::replace(&mut waves[base + n], EMPTY_WAVE);
+                    parent_wave = EMPTY_WAVE;
+                    if evicted_tag == INVALID_TAG {
+                        m.valid += 1;
+                    } else if use_mre {
+                        m.mre = evicted_tag;
+                        m.mre_wave = evicted_wave;
+                    }
+                }
+                if lru {
+                    last_access[base + n] = now;
+                } else {
+                    m.fifo_ptr = crate::node::fifo_advance(m.fifo_ptr, assoc);
+                }
+                n
+            }
+        };
+        // Algorithm 1 line 3 / Algorithm 2 line 10: refresh the parent's
+        // matching entry's wave pointer.
+        if use_wave && parent != NO_PARENT {
+            waves[parent] = n as u32;
+        }
+        parent = base + n;
     }
 }
 
@@ -152,6 +596,14 @@ impl Forest {
 /// (`accesses`, `duplicate_skips`) are maintained by every instantiation,
 /// since results need them.
 ///
+/// # Storage
+///
+/// The forest is the shared [`Arena`] with one tag list a node: the arena
+/// owns the geometry, the MRA and tag lanes, the miss tallies, the batch
+/// loop and the snapshot framing; the per-pass lanes add each node's MRE
+/// entry, FIFO pointer and valid count, the wave lane (instrumented only)
+/// and the LRU last-access lane (LRU only).
+///
 /// # Examples
 ///
 /// ```
@@ -172,18 +624,7 @@ impl Forest {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DewTree {
-    pass: PassConfig,
-    opts: DewOptions,
-    forest: Forest,
-    counters: DewCounters,
-    now: u64,
-    /// Block of the previous request, for the CRCB-style elision extension.
-    prev_block: u64,
-    /// Which kernel instantiation `step` dispatches to.
-    instrument: bool,
-    /// `true` when `opts` matches the paper's default configuration and the
-    /// `DEFAULT_PATH` kernel instantiation applies.
-    specialized: bool,
+    arena: Arena<DewLanes>,
 }
 
 impl DewTree {
@@ -195,7 +636,8 @@ impl DewTree {
     /// # Errors
     ///
     /// [`DewError::UnsoundOptions`] when `opts` fails
-    /// [`DewOptions::validate`] (the MRA stop with LRU lists).
+    /// [`DewOptions::validate`] (the MRA stop with LRU lists) or names a
+    /// policy other than FIFO and LRU.
     pub fn new(pass: PassConfig, opts: DewOptions) -> Result<Self, DewError> {
         DewTree::with_instrumentation(pass, opts, false)
     }
@@ -221,47 +663,39 @@ impl DewTree {
         opts: DewOptions,
         instrument: bool,
     ) -> Result<Self, DewError> {
-        opts.validate()?;
-        let lru = opts.policy == TreePolicy::Lru;
-        let specialized = opts.mra_stop
-            && opts.wave
-            && opts.mre
-            && !opts.dup_elision
-            && opts.policy == TreePolicy::Fifo;
-        Ok(DewTree {
-            forest: Forest::new(&pass, lru, instrument),
-            pass,
+        let assoc_bits = pass.assoc().trailing_zeros();
+        Arena::with_instrumentation(
+            pass.block_bits(),
+            (pass.min_set_bits(), pass.max_set_bits()),
+            (assoc_bits, assoc_bits),
             opts,
-            counters: DewCounters::new(),
-            now: 0,
-            prev_block: INVALID_TAG,
             instrument,
-            specialized,
-        })
+        )
+        .map(|arena| DewTree { arena })
     }
 
     /// The pass specification.
     #[must_use]
     pub fn pass(&self) -> &PassConfig {
-        &self.pass
+        self.arena.pass()
     }
 
     /// The options in effect.
     #[must_use]
     pub fn options(&self) -> &DewOptions {
-        &self.opts
+        &self.arena.lanes.opts
     }
 
     /// `true` when this tree maintains the per-node work counters.
     #[must_use]
     pub fn is_instrumented(&self) -> bool {
-        self.instrument
+        self.arena.is_instrumented()
     }
 
     /// Requests simulated so far.
     #[must_use]
     pub fn accesses(&self) -> u64 {
-        self.counters.accesses
+        self.counters().accesses
     }
 
     /// The work counters (Table 1/3/4 quantities). On a tree built with
@@ -270,14 +704,14 @@ impl DewTree {
     /// [`DewTree::instrumented`].
     #[must_use]
     pub fn counters(&self) -> &DewCounters {
-        &self.counters
+        self.arena.counters()
     }
 
     /// Simulates one request given as a trace record. Only the address
     /// matters: the paper's simulation is kind-agnostic (every miss
     /// allocates).
     pub fn step_record(&mut self, record: Record) {
-        self.step(record.addr);
+        self.arena.step(record.addr);
     }
 
     /// Simulates every record of an iterator.
@@ -285,9 +719,7 @@ impl DewTree {
     where
         I: IntoIterator<Item = Record>,
     {
-        for r in records {
-            self.step(r.addr);
-        }
+        self.arena.run(records);
     }
 
     /// Simulates one request by byte address.
@@ -299,7 +731,7 @@ impl DewTree {
     /// real traces validated through [`PassConfig::new`]'s geometry limits
     /// never reach it).
     pub fn step(&mut self, addr: u64) {
-        self.step_block(addr >> self.pass.block_bits());
+        self.arena.step(addr);
     }
 
     /// Simulates one request given as a pre-decoded block number
@@ -309,29 +741,7 @@ impl DewTree {
     ///
     /// As [`DewTree::step`], if `block` equals the internal sentinel.
     pub fn step_block(&mut self, block: u64) {
-        assert_ne!(
-            block, INVALID_TAG,
-            "block {block:#x} exceeds the supported range"
-        );
-        match (self.instrument, self.specialized) {
-            (false, true) => self.step_block_fast::<true>(block),
-            (false, false) => self.step_block_fast::<false>(block),
-            (true, true) => self.kernel_instrumented::<true>(block),
-            (true, false) => self.kernel_instrumented::<false>(block),
-        }
-    }
-
-    /// Fast-kernel dispatch on the associativity. Widths 1 and 2 get their
-    /// own instantiation — there the scan reduces to one or two scalar
-    /// compares and the loop overhead dominates. Wider lists keep the
-    /// runtime-width scan, which LLVM vectorises better than a fully
-    /// unrolled conditional-move chain (measured on the `dew_step` bench).
-    fn step_block_fast<const DEFAULT_PATH: bool>(&mut self, block: u64) {
-        match self.pass.assoc() {
-            1 => self.kernel_fast::<DEFAULT_PATH, 1>(block),
-            2 => self.kernel_fast::<DEFAULT_PATH, 2>(block),
-            _ => self.kernel_fast::<DEFAULT_PATH, 0>(block),
-        }
+        self.arena.step_block(block);
     }
 
     /// Simulates a batch of pre-decoded block numbers (`addr >> block_bits`
@@ -347,595 +757,52 @@ impl DewTree {
     ///
     /// As [`DewTree::step`], if any block equals the internal sentinel.
     pub fn run_blocks(&mut self, blocks: &[u64]) {
-        match (self.instrument, self.specialized) {
-            (false, true) => self.run_blocks_inner::<false, true>(blocks),
-            (false, false) => self.run_blocks_inner::<false, false>(blocks),
-            (true, true) => self.run_blocks_inner::<true, true>(blocks),
-            (true, false) => self.run_blocks_inner::<true, false>(blocks),
-        }
-    }
-
-    fn run_blocks_inner<const INSTRUMENT: bool, const DEFAULT_PATH: bool>(
-        &mut self,
-        blocks: &[u64],
-    ) {
-        if INSTRUMENT {
-            for &block in blocks {
-                assert_ne!(
-                    block, INVALID_TAG,
-                    "block {block:#x} exceeds the supported range"
-                );
-                self.kernel_instrumented::<DEFAULT_PATH>(block);
-            }
-        } else {
-            match self.pass.assoc() {
-                1 => self.run_blocks_fast::<DEFAULT_PATH, 1>(blocks),
-                2 => self.run_blocks_fast::<DEFAULT_PATH, 2>(blocks),
-                _ => self.run_blocks_fast::<DEFAULT_PATH, 0>(blocks),
-            }
-        }
-    }
-
-    fn run_blocks_fast<const DEFAULT_PATH: bool, const ASSOC: usize>(&mut self, blocks: &[u64]) {
-        for &block in blocks {
-            assert_ne!(
-                block, INVALID_TAG,
-                "block {block:#x} exceeds the supported range"
-            );
-            self.kernel_fast::<DEFAULT_PATH, ASSOC>(block);
-        }
-    }
-
-    /// Shared per-request prologue of both kernels: request accounting and
-    /// the CRCB-style duplicate elision. Returns `true` when the request was
-    /// elided whole.
-    #[inline(always)]
-    fn prologue<const DEFAULT_PATH: bool>(&mut self, block: u64) -> bool {
-        debug_assert!(!DEFAULT_PATH || self.specialized, "dispatch mismatch");
-        self.counters.accesses += 1;
-        if !DEFAULT_PATH {
-            self.now += 1;
-            if self.opts.dup_elision {
-                if block == self.prev_block {
-                    // CRCB-style extension: the block was the previous
-                    // request, so it is resident (and MRU) at every level —
-                    // a hit everywhere with no state to update under FIFO,
-                    // and an idempotent recency refresh under LRU (no other
-                    // block touched these sets in between).
-                    self.counters.duplicate_skips += 1;
-                    return true;
-                }
-                self.prev_block = block;
-            }
-        }
-        false
-    }
-
-    /// The fast kernel: no counters, and — the decisive part — no wave or
-    /// MRE traffic at all.
-    ///
-    /// Properties 3 and 4 are *comparison-saving oracles*: they decide
-    /// hit/miss early but never change which block is resident where, so
-    /// miss counts do not depend on them (the ablation tests prove this).
-    /// On modern out-of-order hardware a branchless compare of every way in
-    /// the dense tag lane is cheaper than the shortcut ladder's
-    /// unpredictable branches — and once nothing reads wave pointers or MRE
-    /// entries, nothing needs to *maintain* them either, which removes the
-    /// parent-entry tracking and makes the per-level iterations independent
-    /// (the walk's only remaining serial dependence is the MRA stop).
-    /// The instrumented kernel keeps the full ladder, because the paper's
-    /// comparison counts are defined by it.
-    ///
-    /// `DEFAULT_PATH = true` additionally folds away the LRU machinery and
-    /// the elision check (the options are known to match the paper's
-    /// default configuration). `ASSOC` is the tag-list width when positive
-    /// (letting the scan unroll and the FIFO wrap fold to a mask) and `0`
-    /// for the generic runtime-width fallback.
-    fn kernel_fast<const DEFAULT_PATH: bool, const ASSOC: usize>(&mut self, block: u64) {
-        if self.prologue::<DEFAULT_PATH>(block) {
-            return;
-        }
-        debug_assert!(ASSOC == 0 || ASSOC == self.pass.assoc() as usize);
-        let assoc = if ASSOC == 0 {
-            self.pass.assoc() as usize
-        } else {
-            ASSOC
-        };
-        let lru = !DEFAULT_PATH && self.opts.policy == TreePolicy::Lru;
-        let mra_stop = DEFAULT_PATH || self.opts.mra_stop;
-        let now = self.now;
-        let Forest {
-            mra,
-            meta,
-            tags,
-            last_access,
-            node_off,
-            set_mask,
-            misses,
-            dm_misses,
-            ..
-        } = &mut self.forest;
-
-        // One zipped iterator over the per-level lanes: the bounds checks
-        // collapse into the iterator, leaving only the arena accesses
-        // checked inside the loop.
-        let levels = set_mask
-            .iter()
-            .zip(node_off.iter())
-            .zip(misses.iter_mut().zip(dm_misses.iter_mut()));
-        for ((&mask, &off), (level_misses, level_dm_misses)) in levels {
-            let node = off + (block & mask) as usize;
-            let mra_match = mra[node] == block;
-            if mra_match {
-                if mra_stop {
-                    // Property 2: hit here and at every larger set count, for
-                    // the pass associativity and for associativity 1 alike.
-                    return;
-                }
-            } else {
-                // The direct-mapped cache at this level holds its most recent
-                // requester, so an MRA mismatch is exactly a DM miss.
-                *level_dm_misses += 1;
-            }
-            mra[node] = block;
-            let base = node * assoc;
-
-            // Branchless residency check over the whole tag list: invalid
-            // ways hold the sentinel (which no real block equals), so the
-            // `valid` prefix length is irrelevant, and a resident block
-            // occupies exactly one way, so selecting the matching index with
-            // conditional moves is exact. The dense `u64` lane lets LLVM
-            // vectorise this compare.
-            let list = &tags[base..base + assoc];
-            let mut hit_way = usize::MAX;
-            for (i, &tag) in list.iter().enumerate() {
-                hit_way = if tag == block { i } else { hit_way };
-            }
-            debug_assert!(
-                !(mra_match && hit_way == usize::MAX),
-                "an MRA match implies residency; miss determination is wrong"
-            );
-
-            if hit_way != usize::MAX {
-                // Algorithm 1: Handle_hit (FIFO hits change nothing).
-                if lru {
-                    last_access[base + hit_way] = now;
-                }
-            } else {
-                // Algorithm 2: Handle_miss.
-                *level_misses += 1;
-                let m = &mut meta[node];
-                let n = if lru {
-                    if (m.valid as usize) < assoc {
-                        m.valid as usize
-                    } else {
-                        crate::node::lru_victim(&last_access[base..base + assoc])
-                    }
-                } else {
-                    // FIFO: the round-robin pointer designates the least
-                    // recently inserted block (or the next empty way).
-                    m.fifo_ptr as usize
-                };
-                let slot = &mut tags[base + n];
-                if *slot == INVALID_TAG {
-                    m.valid += 1;
-                }
-                *slot = block;
-                if lru {
-                    last_access[base + n] = now;
-                } else {
-                    m.fifo_ptr = crate::node::fifo_advance(m.fifo_ptr, assoc);
-                }
-            }
-        }
-    }
-
-    /// The instrumented kernel: the paper's full determination ladder (wave
-    /// pointer, then MRE, then a stop-at-match search), with every
-    /// [`DewCounters`] field maintained. Miss counts are bit-identical to
-    /// [`DewTree::kernel_fast`]'s — a property-tested invariant.
-    fn kernel_instrumented<const DEFAULT_PATH: bool>(&mut self, block: u64) {
-        if self.prologue::<DEFAULT_PATH>(block) {
-            return;
-        }
-        let assoc = self.pass.assoc() as usize;
-        let lru = !DEFAULT_PATH && self.opts.policy == TreePolicy::Lru;
-        let mra_stop = DEFAULT_PATH || self.opts.mra_stop;
-        let use_wave = DEFAULT_PATH || self.opts.wave;
-        let use_mre = DEFAULT_PATH || self.opts.mre;
-        let now = self.now;
-        let counters = &mut self.counters;
-        let Forest {
-            mra,
-            meta,
-            tags,
-            waves,
-            last_access,
-            node_off,
-            set_mask,
-            misses,
-            dm_misses,
-        } = &mut self.forest;
-        // Global way index (within the previous level) of the entry that
-        // holds `block` after handling — "the parent node's matching entry".
-        let mut parent = NO_PARENT;
-        // The current value of `waves[parent]`, carried in a register: every
-        // handling path below knows it without re-loading (a fresh insert
-        // leaves `EMPTY_WAVE`, an MRE exchange restores a value we just
-        // swapped, a hit reads it once at the end of the iteration). This
-        // breaks the walk's store-to-load dependence on the entry the
-        // previous level just wrote.
-        let mut parent_wave = EMPTY_WAVE;
-
-        let levels = set_mask
-            .iter()
-            .zip(node_off.iter())
-            .zip(misses.iter_mut().zip(dm_misses.iter_mut()));
-        for ((&mask, &off), (level_misses, level_dm_misses)) in levels {
-            let node = off + (block & mask) as usize;
-            counters.node_evaluations += 1;
-            counters.tag_comparisons += 1; // the MRA comparison
-            let mra_match = mra[node] == block;
-            if mra_match {
-                if mra_stop {
-                    // Property 2: hit here and at every larger set count, for
-                    // the pass associativity and for associativity 1 alike.
-                    counters.mra_stops += 1;
-                    return;
-                }
-            } else {
-                // The direct-mapped cache at this level holds its most recent
-                // requester, so an MRA mismatch is exactly a DM miss.
-                *level_dm_misses += 1;
-            }
-            let base = node * assoc;
-            let m = &mut meta[node];
-
-            // Hit/miss determination: wave pointer, then MRE, then search.
-            let mut found: Option<usize> = None;
-            let mut determined = false;
-            if use_wave && parent != NO_PARENT && parent_wave != EMPTY_WAVE {
-                // Property 3: a valid wave pointer names the only way this
-                // block can occupy, so one comparison decides.
-                counters.tag_comparisons += 1;
-                let w = parent_wave as usize;
-                debug_assert!(w < assoc, "wave pointer within tag list");
-                if tags[base + w] == block {
-                    counters.wave_hits += 1;
-                    found = Some(w);
-                } else {
-                    counters.wave_misses += 1;
-                }
-                determined = true;
-            }
-            if !determined && use_mre {
-                // Property 4: the most recently evicted block is certainly
-                // not in the tag list.
-                counters.tag_comparisons += 1;
-                if m.mre == block {
-                    counters.mre_misses += 1;
-                    determined = true;
-                }
-            }
-            if !determined {
-                counters.searches += 1;
-                // The scan stops at the match, because the paper's
-                // comparison counts do.
-                for (i, &tag) in tags[base..base + m.valid as usize].iter().enumerate() {
-                    counters.search_comparisons += 1;
-                    counters.tag_comparisons += 1;
-                    if tag == block {
-                        found = Some(i);
-                        break;
-                    }
-                }
-            }
-            debug_assert!(
-                !(mra_match && found.is_none()),
-                "an MRA match implies residency; miss determination is wrong"
-            );
-
-            mra[node] = block;
-            let n = match found {
-                Some(n) => {
-                    // Algorithm 1: Handle_hit.
-                    if lru {
-                        last_access[base + n] = now;
-                    }
-                    parent_wave = waves[base + n];
-                    n
-                }
-                None => {
-                    // Algorithm 2: Handle_miss.
-                    *level_misses += 1;
-                    let n = if lru {
-                        if (m.valid as usize) < assoc {
-                            m.valid as usize
-                        } else {
-                            crate::node::lru_victim(&last_access[base..base + assoc])
-                        }
-                    } else {
-                        // FIFO: the round-robin pointer designates the least
-                        // recently inserted block (or the next empty way).
-                        m.fifo_ptr as usize
-                    };
-                    if use_mre && m.mre == block {
-                        // Algorithm 2, line 5: exchange the victim way with
-                        // the MRE entry, restoring the block's preserved wave
-                        // pointer.
-                        debug_assert_eq!(
-                            m.valid as usize, assoc,
-                            "MRE only holds a tag after an eviction, which requires a full set"
-                        );
-                        std::mem::swap(&mut tags[base + n], &mut m.mre);
-                        std::mem::swap(&mut waves[base + n], &mut m.mre_wave);
-                        parent_wave = waves[base + n];
-                    } else {
-                        // Algorithm 2, lines 7-8: fresh insert; the evicted
-                        // entry (tag and wave pointer) moves to the MRE slot.
-                        let evicted_tag = std::mem::replace(&mut tags[base + n], block);
-                        let evicted_wave = std::mem::replace(&mut waves[base + n], EMPTY_WAVE);
-                        parent_wave = EMPTY_WAVE;
-                        if evicted_tag == INVALID_TAG {
-                            m.valid += 1;
-                        } else if use_mre {
-                            m.mre = evicted_tag;
-                            m.mre_wave = evicted_wave;
-                        }
-                    }
-                    if lru {
-                        last_access[base + n] = now;
-                    } else {
-                        m.fifo_ptr = crate::node::fifo_advance(m.fifo_ptr, assoc);
-                    }
-                    n
-                }
-            };
-            // Algorithm 1 line 3 / Algorithm 2 line 10: refresh the parent's
-            // matching entry's wave pointer.
-            if use_wave && parent != NO_PARENT {
-                waves[parent] = n as u32;
-            }
-            parent = base + n;
-        }
+        self.arena.run_blocks(blocks);
     }
 
     /// Snapshot of the per-level miss counts.
     #[must_use]
     pub fn results(&self) -> PassResults {
-        let levels = self
-            .forest
-            .misses
-            .iter()
-            .zip(&self.forest.dm_misses)
-            .enumerate()
-            .map(|(li, (&misses, &dm))| {
-                LevelResult::new(self.pass.min_set_bits() + li as u32, misses, dm)
-            })
-            .collect();
-        PassResults::new(self.pass, self.counters.accesses, levels)
+        self.arena
+            .pass_results(self.pass().assoc())
+            .expect("the pass associativity is simulated")
     }
 
     /// Storage the paper's 32-bit model assigns to this forest:
     /// `Σ_levels S × (96 + 64·A)` bits (Section 5).
     #[must_use]
     pub fn paper_model_bits(&self) -> u64 {
-        let a = u64::from(self.pass.assoc());
-        (self.pass.min_set_bits()..=self.pass.max_set_bits())
+        let pass = self.pass();
+        let a = u64::from(pass.assoc());
+        (pass.min_set_bits()..=pass.max_set_bits())
             .map(|sb| (1u64 << sb) * (96 + 64 * a))
             .sum()
     }
 
     /// Serialises the complete simulation state (geometry, options,
-    /// counters, every node) to bytes. See [`crate::snapshot`] for the
-    /// format and the use case.
+    /// counters, every node) to bytes in the arena's snapshot framing (see
+    /// [`crate::snapshot`]).
     #[must_use]
     pub fn to_snapshot(&self) -> Vec<u8> {
-        use crate::snapshot::{put_u32, put_u64, MAGIC, VERSION};
-        let mut out = Vec::with_capacity(64 + self.footprint_bytes() * 2);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        put_u32(&mut out, self.pass.block_bits());
-        put_u32(&mut out, self.pass.min_set_bits());
-        put_u32(&mut out, self.pass.max_set_bits());
-        put_u32(&mut out, self.pass.assoc());
-        let flags = u8::from(self.opts.mra_stop)
-            | u8::from(self.opts.wave) << 1
-            | u8::from(self.opts.mre) << 2
-            | u8::from(self.opts.dup_elision) << 3
-            | u8::from(self.opts.policy == TreePolicy::Lru) << 4
-            | u8::from(self.instrument) << 5;
-        out.push(flags);
-        let c = &self.counters;
-        for v in [
-            c.accesses,
-            c.node_evaluations,
-            c.mra_stops,
-            c.wave_hits,
-            c.wave_misses,
-            c.mre_misses,
-            c.searches,
-            c.duplicate_skips,
-            c.search_comparisons,
-            c.tag_comparisons,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, self.now);
-        put_u64(&mut out, self.prev_block);
-        // Version 2 writes the arena in layout order: the per-level miss
-        // tallies, then the whole metadata lane, the whole way lane and the
-        // whole (possibly empty) last-access lane.
-        for (m, dm) in self.forest.misses.iter().zip(&self.forest.dm_misses) {
-            put_u64(&mut out, *m);
-            put_u64(&mut out, *dm);
-        }
-        for (&mra, m) in self.forest.mra.iter().zip(&self.forest.meta) {
-            put_u64(&mut out, mra);
-            put_u64(&mut out, m.mre);
-            put_u32(&mut out, m.mre_wave);
-            put_u32(&mut out, m.fifo_ptr);
-            put_u32(&mut out, m.valid);
-        }
-        // Fast trees carry no wave lane; on disk their entries read as
-        // "empty", which is exactly the state an instrumented kernel would
-        // never have consulted anyway.
-        for (i, &tag) in self.forest.tags.iter().enumerate() {
-            put_u64(&mut out, tag);
-            put_u32(
-                &mut out,
-                self.forest.waves.get(i).copied().unwrap_or(EMPTY_WAVE),
-            );
-        }
-        for &t in &self.forest.last_access {
-            put_u64(&mut out, t);
-        }
-        out
+        self.arena.to_snapshot()
     }
 
     /// Restores a tree from [`DewTree::to_snapshot`] output. The snapshot is
-    /// self-describing: geometry and options are recovered from it. Both the
-    /// current (arena-ordered) version-2 layout and the legacy per-level
-    /// version-1 layout are accepted; version-1 snapshots restore as
-    /// instrumented trees, matching the kernel that wrote them.
+    /// self-describing: geometry and options are recovered from it.
     ///
     /// # Errors
     ///
-    /// [`crate::snapshot::SnapshotError`] for foreign, truncated or
-    /// internally inconsistent buffers.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Cursor, SnapshotError, MAGIC, VERSION, VERSION_1};
-        let mut cur = Cursor::new(bytes);
-        if cur.bytes(4)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = cur.u8()?;
-        if version != VERSION && version != VERSION_1 {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let (block_bits, min_set_bits, max_set_bits, assoc) =
-            (cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?);
-        let pass = PassConfig::new(block_bits, min_set_bits, max_set_bits, assoc)
-            .map_err(|_| SnapshotError::Corrupt("invalid pass geometry"))?;
-        cur.expect_lanes((min_set_bits, max_set_bits), u128::from(assoc))?;
-        let flags = cur.u8()?;
-        let opts = DewOptions {
-            mra_stop: flags & 1 != 0,
-            wave: flags & 2 != 0,
-            mre: flags & 4 != 0,
-            dup_elision: flags & 8 != 0,
-            policy: if flags & 16 != 0 {
-                TreePolicy::Lru
-            } else {
-                TreePolicy::Fifo
-            },
-        };
-        // Version-1 trees always maintained the full counters.
-        let instrument = version == VERSION_1 || flags & 32 != 0;
-        let mut tree = DewTree::with_instrumentation(pass, opts, instrument)
-            .map_err(|_| SnapshotError::Corrupt("unsound option flags"))?;
-        let c = &mut tree.counters;
-        c.accesses = cur.u64()?;
-        c.node_evaluations = cur.u64()?;
-        c.mra_stops = cur.u64()?;
-        c.wave_hits = cur.u64()?;
-        c.wave_misses = cur.u64()?;
-        c.mre_misses = cur.u64()?;
-        c.searches = cur.u64()?;
-        c.duplicate_skips = cur.u64()?;
-        c.search_comparisons = cur.u64()?;
-        c.tag_comparisons = cur.u64()?;
-        tree.now = cur.u64()?;
-        tree.prev_block = cur.u64()?;
-        let assoc = pass.assoc() as usize;
-        let num_levels = pass.num_levels() as usize;
-
-        let read_meta =
-            |cur: &mut Cursor<'_>, mra: &mut u64, m: &mut NodeMeta| -> Result<(), SnapshotError> {
-                *mra = cur.u64()?;
-                m.mre = cur.u64()?;
-                m.mre_wave = cur.u32()?;
-                m.fifo_ptr = cur.u32()?;
-                m.valid = cur.u32()?;
-                if m.fifo_ptr as usize >= assoc || m.valid as usize > assoc {
-                    return Err(SnapshotError::Corrupt("node state out of range"));
-                }
-                Ok(())
-            };
-        let read_way =
-            |cur: &mut Cursor<'_>, tag: &mut u64, wave: &mut u32| -> Result<(), SnapshotError> {
-                *tag = cur.u64()?;
-                *wave = cur.u32()?;
-                if *wave != EMPTY_WAVE && *wave as usize >= assoc {
-                    return Err(SnapshotError::Corrupt("wave pointer out of range"));
-                }
-                Ok(())
-            };
-
-        if version == VERSION_1 {
-            // Legacy layout: each level interleaves its miss tallies,
-            // metadata, ways and last-access times.
-            for li in 0..num_levels {
-                tree.forest.misses[li] = cur.u64()?;
-                tree.forest.dm_misses[li] = cur.u64()?;
-                let nodes = tree.forest.level_nodes(li);
-                let (mra_lane, meta_lane) = (
-                    &mut tree.forest.mra[nodes.clone()],
-                    &mut tree.forest.meta[nodes.clone()],
-                );
-                for (mra, m) in mra_lane.iter_mut().zip(meta_lane) {
-                    read_meta(&mut cur, mra, m)?;
-                }
-                let ways = nodes.start * assoc..nodes.end * assoc;
-                let (tag_lane, wave_lane) = (
-                    &mut tree.forest.tags[ways.clone()],
-                    &mut tree.forest.waves[ways.clone()],
-                );
-                for (tag, wave) in tag_lane.iter_mut().zip(wave_lane) {
-                    read_way(&mut cur, tag, wave)?;
-                }
-                if !tree.forest.last_access.is_empty() {
-                    for t in &mut tree.forest.last_access[ways] {
-                        *t = cur.u64()?;
-                    }
-                }
-            }
-        } else {
-            for li in 0..num_levels {
-                tree.forest.misses[li] = cur.u64()?;
-                tree.forest.dm_misses[li] = cur.u64()?;
-            }
-            let (mra_lane, meta_lane) = (&mut tree.forest.mra, &mut tree.forest.meta);
-            for (mra, m) in mra_lane.iter_mut().zip(meta_lane) {
-                read_meta(&mut cur, mra, m)?;
-            }
-            let has_waves = !tree.forest.waves.is_empty();
-            for i in 0..tree.forest.tags.len() {
-                let mut wave = EMPTY_WAVE;
-                read_way(&mut cur, &mut tree.forest.tags[i], &mut wave)?;
-                if has_waves {
-                    tree.forest.waves[i] = wave;
-                }
-            }
-            for t in &mut tree.forest.last_access {
-                *t = cur.u64()?;
-            }
-        }
-        if cur.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes(cur.remaining()));
-        }
-        Ok(tree)
+    /// [`SnapshotError`] for foreign, truncated or internally inconsistent
+    /// buffers.
+    pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Arena::from_snapshot(bytes).map(|arena| DewTree { arena })
     }
 
     /// Actual heap footprint of the forest's node storage in bytes
     /// (this implementation's 64-bit tags; excludes counters).
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        self.forest.mra.len() * std::mem::size_of::<u64>()
-            + self.forest.meta.len() * std::mem::size_of::<NodeMeta>()
-            + self.forest.tags.len() * std::mem::size_of::<u64>()
-            + self.forest.waves.len() * std::mem::size_of::<u32>()
-            + self.forest.last_access.len() * std::mem::size_of::<u64>()
+        self.arena.footprint_bytes()
     }
 }
 
@@ -1373,100 +1240,6 @@ mod tests {
         }
     }
 
-    /// Serialises a tree in the legacy version-1 layout (per-level
-    /// interleaved, no instrument flag), as PR-1-era builds wrote it.
-    fn to_snapshot_v1(tree: &DewTree) -> Vec<u8> {
-        use crate::snapshot::{put_u32, put_u64, MAGIC, VERSION_1};
-        let assoc = tree.pass.assoc() as usize;
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION_1);
-        put_u32(&mut out, tree.pass.block_bits());
-        put_u32(&mut out, tree.pass.min_set_bits());
-        put_u32(&mut out, tree.pass.max_set_bits());
-        put_u32(&mut out, tree.pass.assoc());
-        let flags = u8::from(tree.opts.mra_stop)
-            | u8::from(tree.opts.wave) << 1
-            | u8::from(tree.opts.mre) << 2
-            | u8::from(tree.opts.dup_elision) << 3
-            | u8::from(tree.opts.policy == TreePolicy::Lru) << 4;
-        out.push(flags);
-        let c = &tree.counters;
-        for v in [
-            c.accesses,
-            c.node_evaluations,
-            c.mra_stops,
-            c.wave_hits,
-            c.wave_misses,
-            c.mre_misses,
-            c.searches,
-            c.duplicate_skips,
-            c.search_comparisons,
-            c.tag_comparisons,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, tree.now);
-        put_u64(&mut out, tree.prev_block);
-        for li in 0..tree.pass.num_levels() as usize {
-            put_u64(&mut out, tree.forest.misses[li]);
-            put_u64(&mut out, tree.forest.dm_misses[li]);
-            let nodes = tree.forest.level_nodes(li);
-            for (mra, m) in tree.forest.mra[nodes.clone()]
-                .iter()
-                .zip(&tree.forest.meta[nodes.clone()])
-            {
-                put_u64(&mut out, *mra);
-                put_u64(&mut out, m.mre);
-                put_u32(&mut out, m.mre_wave);
-                put_u32(&mut out, m.fifo_ptr);
-                put_u32(&mut out, m.valid);
-            }
-            let ways = nodes.start * assoc..nodes.end * assoc;
-            for (&tag, &wave) in tree.forest.tags[ways.clone()]
-                .iter()
-                .zip(&tree.forest.waves[ways.clone()])
-            {
-                put_u64(&mut out, tag);
-                put_u32(&mut out, wave);
-            }
-            if !tree.forest.last_access.is_empty() {
-                for &t in &tree.forest.last_access[ways] {
-                    put_u64(&mut out, t);
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn legacy_v1_snapshots_still_restore() {
-        let addrs = pseudo_random_addrs(2000, 1 << 11, 0x0001_E6AC);
-        let (first, second) = addrs.split_at(1000);
-        for opts in [DewOptions::default(), DewOptions::lru()] {
-            let pass = PassConfig::new(2, 0, 5, 4).expect("valid");
-            let mut straight = DewTree::instrumented(pass, opts).expect("sound");
-            for &a in &addrs {
-                straight.step(a);
-            }
-            let mut head = DewTree::instrumented(pass, opts).expect("sound");
-            for &a in first {
-                head.step(a);
-            }
-            let v1 = to_snapshot_v1(&head);
-            let mut tail = DewTree::from_snapshot(&v1).expect("v1 decodes");
-            assert!(
-                tail.is_instrumented(),
-                "v1 snapshots come from always-instrumented builds"
-            );
-            for &a in second {
-                tail.step(a);
-            }
-            assert_eq!(tail.results(), straight.results(), "{opts}");
-            assert_eq!(tail.counters(), straight.counters(), "{opts}");
-        }
-    }
-
     #[test]
     fn snapshot_rejects_foreign_and_corrupt_buffers() {
         use crate::snapshot::SnapshotError;
@@ -1557,6 +1330,33 @@ mod tests {
                 let expected = reference_misses(sets, a, 4, Replacement::Lru, &addrs);
                 assert_eq!(r.misses(sets, a), Some(expected), "sets={sets} assoc={a}");
             }
+        }
+    }
+
+    /// Tree-PLRU and SLRU options used to build a tree that silently
+    /// simulated FIFO lists; every policy other than FIFO and LRU is now
+    /// rejected, by the tree and by the timeline built on it.
+    #[test]
+    fn only_fifo_and_lru_lists_are_simulated() {
+        let pass = PassConfig::new(2, 0, 4, 4).expect("valid");
+        let records: Vec<Record> = pseudo_random_addrs(500, 1 << 10, 0x0915_7EE5)
+            .into_iter()
+            .map(Record::read)
+            .collect();
+        for policy in TreePolicy::ALL {
+            let opts = DewOptions::for_policy(policy);
+            let supported = matches!(policy, TreePolicy::Fifo | TreePolicy::Lru);
+            for instrument in [false, true] {
+                match DewTree::with_instrumentation(pass, opts, instrument) {
+                    Ok(tree) => assert!(supported, "{policy}: {:?}", tree.options()),
+                    Err(e) => assert!(
+                        !supported && matches!(e, DewError::UnsoundOptions(_)),
+                        "{policy}: {e}"
+                    ),
+                }
+            }
+            let timeline = crate::timeline::MissTimeline::collect(pass, opts, &records, 100);
+            assert_eq!(timeline.is_ok(), supported, "{policy}");
         }
     }
 }

@@ -217,7 +217,7 @@ fn oversized_headers_are_rejected_before_the_arena_is_built() {
         DewOptions::default(),
     )
     .expect("sound");
-    let tree = oversized_header(tree.to_snapshot(), 22);
+    let tree = oversized_header(tree.to_snapshot(), 26);
     assert!(corrupt(DewTree::from_snapshot(&tree).map(drop)));
 }
 
