@@ -15,6 +15,9 @@
 //! records:  ( kind u8 , zigzag(addr - prev_addr) varint )*   until EOF
 //! ```
 //!
+//! Varints must be canonical (no trailing zero group), so a record stream
+//! has exactly one byte form and every accepted file re-encodes to itself.
+//!
 //! # Examples
 //!
 //! ```
@@ -72,7 +75,8 @@ fn write_varint(out: &mut impl Write, mut v: u64) -> std::io::Result<usize> {
 }
 
 /// Reads one varint. `Ok(None)` signals clean EOF *before the first byte*;
-/// EOF mid-varint is [`TraceError::Truncated`].
+/// EOF mid-varint is [`TraceError::Truncated`], and an encoding longer than
+/// [`write_varint`]'s is [`TraceError::NonCanonicalVarint`].
 fn read_varint(input: &mut impl Read) -> Result<Option<u64>, TraceError> {
     let mut shift = 0u32;
     let mut value = 0u64;
@@ -95,6 +99,10 @@ fn read_varint(input: &mut impl Read) -> Result<Option<u64>, TraceError> {
         let payload = u64::from(byte[0] & 0x7f);
         if shift >= 64 || (shift == 63 && payload > 1) {
             return Err(TraceError::VarintOverflow);
+        }
+        if byte[0] == 0 && shift > 0 {
+            // A trailing zero group: the value fits in fewer bytes.
+            return Err(TraceError::NonCanonicalVarint);
         }
         value |= payload << shift;
         if byte[0] & 0x80 == 0 {
@@ -389,5 +397,23 @@ mod tests {
             .expect("finish");
         let mut reader = BinReader::new(out.as_slice()).expect("header");
         assert!(reader.next().is_none());
+    }
+
+    #[test]
+    fn rejects_overlong_varints() {
+        let ten_groups = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        for tail in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00], &ten_groups] {
+            let mut out = Vec::new();
+            BinWriter::new(&mut out)
+                .expect("header")
+                .finish()
+                .expect("finish");
+            out.push(0); // kind: read
+            out.extend_from_slice(tail);
+            let mut reader = BinReader::new(out.as_slice()).expect("header");
+            let err = reader.next().expect("one item").expect_err("overlong");
+            assert!(matches!(err, TraceError::NonCanonicalVarint), "{err}");
+            assert!(!err.is_transient());
+        }
     }
 }

@@ -17,6 +17,12 @@ pub enum ParseRecordError {
     UnknownLabel(u8),
     /// The address field was not valid hexadecimal.
     BadAddress(String),
+    /// The line was not valid UTF-8; the payload is the byte offset of the
+    /// first invalid sequence within the line.
+    InvalidUtf8(usize),
+    /// The line ran past [`MAX_LINE_BYTES`](crate::din::MAX_LINE_BYTES)
+    /// bytes before its newline.
+    LineTooLong,
 }
 
 impl fmt::Display for ParseRecordError {
@@ -29,6 +35,14 @@ impl fmt::Display for ParseRecordError {
                 write!(f, "label {l} is not a din access kind (expected 0, 1 or 2)")
             }
             ParseRecordError::BadAddress(s) => write!(f, "address `{s}` is not hexadecimal"),
+            ParseRecordError::InvalidUtf8(at) => {
+                write!(f, "line is not valid UTF-8 (bad byte at offset {at})")
+            }
+            ParseRecordError::LineTooLong => write!(
+                f,
+                "line is longer than {} bytes",
+                crate::din::MAX_LINE_BYTES
+            ),
         }
     }
 }
@@ -56,6 +70,10 @@ pub enum TraceError {
     Truncated,
     /// A varint field exceeded the 64-bit range.
     VarintOverflow,
+    /// A varint field used more bytes than its value needs (a trailing
+    /// zero group). The writer never emits one, so each record stream has
+    /// exactly one encoding.
+    NonCanonicalVarint,
 }
 
 impl TraceError {
@@ -65,8 +83,9 @@ impl TraceError {
     /// The taxonomy is: **I/O failures are transient** — interrupted reads,
     /// dropped connections, transiently unavailable files come and go —
     /// while **format failures are fatal**: a corrupt record, truncated
-    /// stream, bad magic, unsupported version or overflowing varint is a
-    /// property of the bytes themselves and will reproduce on every retry.
+    /// stream, bad magic, unsupported version, overflowing or overlong
+    /// varint, invalid UTF-8 or over-long text line is a property of the
+    /// bytes themselves and will reproduce on every retry.
     /// Resilient sweep drivers use this split to decide between
     /// retry-with-backoff and failing the job.
     #[must_use]
@@ -88,6 +107,9 @@ impl fmt::Display for TraceError {
             }
             TraceError::Truncated => write!(f, "binary trace ended mid-record"),
             TraceError::VarintOverflow => write!(f, "varint field exceeds 64 bits"),
+            TraceError::NonCanonicalVarint => {
+                write!(f, "varint field has a non-canonical (overlong) encoding")
+            }
         }
     }
 }
@@ -124,6 +146,15 @@ mod tests {
             TraceError::UnsupportedVersion(9),
             TraceError::Truncated,
             TraceError::VarintOverflow,
+            TraceError::NonCanonicalVarint,
+            TraceError::Parse {
+                position: 4,
+                source: ParseRecordError::InvalidUtf8(2),
+            },
+            TraceError::Parse {
+                position: 5,
+                source: ParseRecordError::LineTooLong,
+            },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
@@ -142,6 +173,15 @@ mod tests {
             TraceError::UnsupportedVersion(9),
             TraceError::Truncated,
             TraceError::VarintOverflow,
+            TraceError::NonCanonicalVarint,
+            TraceError::Parse {
+                position: 4,
+                source: ParseRecordError::InvalidUtf8(2),
+            },
+            TraceError::Parse {
+                position: 5,
+                source: ParseRecordError::LineTooLong,
+            },
         ] {
             assert!(!fatal.is_transient(), "{fatal}");
         }

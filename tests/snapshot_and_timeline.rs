@@ -172,7 +172,7 @@ fn kernel_snapshots_reject_foreign_and_corrupt_buffers() {
         }
         other => panic!("expected PolicyMismatch, got {other:?}"),
     }
-    // An unrelated magic (the v2 DewTree format) stays a plain BadMagic.
+    // An unrelated magic (`DewTree`'s `DEWA` arena format) stays a plain BadMagic.
     let dewtree_bytes = DewTree::new(
         PassConfig::new(2, 0, 4, 2).expect("valid"),
         DewOptions::default(),
